@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,6 +53,9 @@ class OfflineDataset:
         for name, arr in (("actions_p1", a1), ("actions_p2", a2), ("rewards", rewards), ("next_states", nxt)):
             if arr.shape != shape:
                 raise ConfigError(f"{name} shape {arr.shape} does not match states {shape}")
+        if not np.isfinite(rewards).all():
+            tau, h = np.argwhere(~np.isfinite(rewards))[0]
+            raise ConfigError(f"rewards must be finite; trajectory {tau} step {h} has {float(rewards[tau, h])}")
         if self.provenance not in ("behavior", "predetermined"):
             raise ConfigError(f"unknown provenance {self.provenance!r}")
         for name, arr in (
@@ -228,63 +232,129 @@ def validate_dataset(game: TabularLinearMG, dataset: OfflineDataset) -> None:
 
 
 def save_dataset(dataset: OfflineDataset, path, seed: int | None = None) -> None:
-    """Write JSON lines: a meta record then one record per trajectory."""
+    """Write JSON lines: a meta record then one record per trajectory.
+
+    Each trajectory record is rendered from one ``%``-template built from the
+    horizon and streamed to the file.  ``json.dumps`` writes ints as
+    ``int.__repr__`` and finite floats as ``float.__repr__``, so ``%d`` and
+    ``%r`` on the Python values from ``tolist()`` give the same bytes as
+    dumping each record (rewards are finite by construction).
+    """
     meta = {
         "k": dataset.k,
         "horizon": dataset.horizon,
         "provenance": dataset.provenance,
         "seed": seed,
     }
-    lines = [json.dumps({"meta": meta})]
-    for tau in range(dataset.k):
-        steps = [
-            {
-                "h": h,
-                "s": int(dataset.states[tau, h]),
-                "a": int(dataset.actions_p1[tau, h]),
-                "b": int(dataset.actions_p2[tau, h]),
-                "r": float(dataset.rewards[tau, h]),
-                "s_next": int(dataset.next_states[tau, h]),
-            }
-            for h in range(dataset.horizon)
-        ]
-        lines.append(json.dumps({"tau": tau, "steps": steps}))
-    Path(path).write_text("\n".join(lines) + "\n")
+    steps = ", ".join(
+        f'{{"h": {h}, "s": %d, "a": %d, "b": %d, "r": %r, "s_next": %d}}'
+        for h in range(dataset.horizon)
+    )
+    template = '{"tau": %d, "steps": [' + steps + "]}\n"
+    fields = (dataset.states, dataset.actions_p1, dataset.actions_p2, dataset.rewards, dataset.next_states)
+    columns = [arr[:, h].tolist() for h in range(dataset.horizon) for arr in fields]
+    with open(path, "w") as handle:
+        handle.write(json.dumps({"meta": meta}) + "\n")
+        handle.writelines(map(template.__mod__, zip(range(dataset.k), *columns)))
+
+
+_STEP_COLUMNS = (("s", np.int64), ("a", np.int64), ("b", np.int64), ("r", np.float64), ("s_next", np.int64))
 
 
 def load_dataset(path) -> OfflineDataset:
-    try:
-        lines = Path(path).read_text().splitlines()
-        records = [json.loads(line) for line in lines if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read dataset file {path}: {exc}") from exc
-    if not records or "meta" not in records[0]:
-        raise ConfigError(f"dataset file {path} lacks the leading meta record")
-    meta = records[0]["meta"]
-    k, horizon = int(meta["k"]), int(meta["horizon"])
+    """Read a file written by :func:`save_dataset`, rejecting anything else.
+
+    ``tau`` must run ``0..k-1`` in file order and each trajectory's ``h``
+    ``0..H-1``; every step needs all six keys, with integer values except
+    ``r``, which may be any finite number.  A defect raises
+    :class:`ConfigError` naming it.
+    """
+    records = _read_records(path)
+    k, horizon, provenance = _read_meta(records, path)
     if len(records) != k + 1:
         raise ConfigError(f"dataset file {path} announces k={k} but holds {len(records) - 1} trajectories")
-    states = np.zeros((k, horizon), dtype=np.int64)
-    a1 = np.zeros((k, horizon), dtype=np.int64)
-    a2 = np.zeros((k, horizon), dtype=np.int64)
-    rewards = np.zeros((k, horizon), dtype=np.float64)
-    nxt = np.zeros((k, horizon), dtype=np.int64)
-    for record in records[1:]:
-        try:
-            tau = record["tau"]
-            steps = record["steps"]
-            if len(steps) != horizon:
-                raise ConfigError(f"trajectory {tau} has {len(steps)} steps, expected {horizon}")
-            for step in steps:
-                h = step["h"]
-                states[tau, h] = step["s"]
-                a1[tau, h] = step["a"]
-                a2[tau, h] = step["b"]
-                rewards[tau, h] = step["r"]
-                nxt[tau, h] = step["s_next"]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"malformed trajectory record in {path}: {exc}") from exc
-    return OfflineDataset(states, a1, a2, rewards, nxt, provenance=meta.get("provenance", "behavior"))
+    trajectories = records[1:]
+    try:
+        taus = _column(map(itemgetter("tau"), trajectories), "tau", path)
+        bad = np.flatnonzero(taus != np.arange(k))
+        if bad.size:
+            raise ConfigError(f"dataset file {path}: trajectory {bad[0]} has tau {taus[bad[0]]}, expected {bad[0]}")
+        step_lists = list(map(itemgetter("steps"), trajectories))
+        counts = np.fromiter(map(len, step_lists), dtype=np.int64, count=k)
+        bad = np.flatnonzero(counts != horizon)
+        if bad.size:
+            raise ConfigError(
+                f"dataset file {path}: trajectory {bad[0]} has {counts[bad[0]]} steps, expected {horizon}"
+            )
+        steps = list(chain.from_iterable(step_lists))
+        h = _column(map(itemgetter("h"), steps), "h", path).reshape(k, horizon)
+        bad = np.flatnonzero((h != np.arange(horizon)).any(axis=1))
+        if bad.size:
+            raise ConfigError(
+                f"dataset file {path}: trajectory {bad[0]} has h {h[bad[0]].tolist()}, "
+                f"expected {list(range(horizon))}"
+            )
+        columns = [
+            _column(map(itemgetter(key), steps), key, path, dtype).reshape(k, horizon)
+            for key, dtype in _STEP_COLUMNS
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"malformed trajectory record in {path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"malformed trajectory record in {path}: {exc}") from exc
+    try:
+        return OfflineDataset(*columns, provenance=provenance)
+    except ConfigError as exc:
+        raise ConfigError(f"dataset file {path}: {exc}") from exc
+
+
+def _read_records(path) -> list:
+    """One parsed JSON value per non-blank line.  The file is read as a
+    stream, so no copy of the raw text stays alive beside the records."""
+    records = []
+    try:
+        with open(path) as handle:
+            for lineno, line in enumerate(handle, 1):
+                if line.strip():
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise ConfigError(f"cannot read dataset file {path}: line {lineno}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset file {path}: {exc}") from exc
+    return records
+
+
+def _read_meta(records: list, path) -> tuple[int, int, str]:
+    if not records or not isinstance(records[0], dict) or "meta" not in records[0]:
+        raise ConfigError(f"dataset file {path} lacks the leading meta record")
+    meta = records[0]["meta"]
+    if not isinstance(meta, dict):
+        raise ConfigError(f"dataset file {path}: meta record is not an object")
+    for key in ("k", "horizon"):
+        if key not in meta:
+            raise ConfigError(f"dataset file {path}: meta record lacks {key!r}")
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise ConfigError(f"dataset file {path}: meta {key} must be a nonnegative integer, got {meta[key]!r}")
+    return meta["k"], meta["horizon"], meta.get("provenance", "behavior")
+
+
+def _column(values, key: str, path, dtype=np.int64) -> np.ndarray:
+    """One field of every record as a flat array; no value is coerced.
+
+    ``np.fromiter`` would truncate ``1.5`` or parse ``"1"`` into an int64
+    column, so the value types are checked first (bool is not int here).
+    """
+    values = list(values)
+    allowed = (int, float) if dtype is np.float64 else (int,)
+    if not set(map(type, values)).issubset(allowed):
+        odd = next(v for v in values if type(v) not in allowed)
+        kind = "a number" if dtype is np.float64 else "an integer"
+        raise ConfigError(f"dataset file {path}: {key} value {odd!r} is not {kind}")
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError as exc:
+        raise ConfigError(f"dataset file {path}: {key} value out of range: {exc}") from exc
 
 
 def _draw_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

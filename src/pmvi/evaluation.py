@@ -102,21 +102,29 @@ def best_response_value(
     For a max-player policy pi this is V^{pi,*} (opponent minimizes); for a
     min-player policy nu it is V^{*,nu} (opponent maximizes).
     """
+    v, action_values = _best_response_dp(game, policy)
+    pick = np.argmin if policy.player == 1 else np.argmax
+    br_actions = np.array([pick(avg, axis=1) for avg in action_values])
+    br_player = 2 if policy.player == 1 else 1
+    return VTable(v), MarkovPolicy.pure(game, br_player, br_actions)
+
+
+def _best_response_dp(game: TabularLinearMG, policy: MarkovPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backward DP against a fixed policy: the opponent's best-response values
+    (H, S) and, per step, its (S, n_opponent_actions) action values."""
     v = np.zeros((game.horizon + 1, game.n_states))
-    br_actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
+    action_values = [None] * game.horizon
     for h in reversed(range(game.horizon)):
         q = bellman_apply(game, h, v[h + 1])
         if policy.player == 1:
             # opponent (min) sees the action-b values averaged over pi
             avg = np.einsum("sa,sab->sb", policy.probs[h], q)
-            br_actions[h] = np.argmin(avg, axis=1)
-            v[h] = avg[np.arange(game.n_states), br_actions[h]]
+            v[h] = avg.min(axis=1)
         else:
             avg = np.einsum("sb,sab->sa", policy.probs[h], q)
-            br_actions[h] = np.argmax(avg, axis=1)
-            v[h] = avg[np.arange(game.n_states), br_actions[h]]
-    br_player = 2 if policy.player == 1 else 1
-    return VTable(v[: game.horizon]), MarkovPolicy.pure(game, br_player, br_actions)
+            v[h] = avg.max(axis=1)
+        action_values[h] = avg
+    return v[: game.horizon], action_values
 
 
 def suboptimality(
@@ -129,8 +137,8 @@ def suboptimality(
     _expect_players(policy_max, policy_min)
     nash = exact_nash_values(game, tol=tol)
     v_star = nash.v_star.initial(game)
-    v_min_br = best_response_value(game, policy_max)[0].initial(game)
-    v_max_br = best_response_value(game, policy_min)[0].initial(game)
+    v_min_br = float(_best_response_dp(game, policy_max)[0][0, game.initial_state])
+    v_max_br = float(_best_response_dp(game, policy_min)[0][0, game.initial_state])
     v_pair = policy_value(game, policy_max, policy_min).initial(game)
     if not (v_min_br <= v_star + _CHAIN_ATOL and v_star <= v_max_br + _CHAIN_ATOL):
         raise InvariantError(

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,10 +265,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
+        # the child must import the package under test, also when only
+        # pytest's own ``pythonpath`` setting put it on sys.path
+        search = [str(Path(pmvi.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "pmvi.cli", "solve-matrix", "--matrix", "[[0.25]]"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(0.25)

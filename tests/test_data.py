@@ -1,8 +1,13 @@
 """Dataset collection, counting statistics, validation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pmvi
 from pmvi import (
@@ -18,6 +23,7 @@ from pmvi import (
     save_dataset,
     validate_dataset,
 )
+from pmvi.cli import main
 
 
 @pytest.fixture()
@@ -245,8 +251,6 @@ class TestSerialization:
         data = collect_predetermined(game, balanced_schedule(9, 3, 3), np.random.default_rng(4))
         path = tmp_path / "sched.jsonl"
         save_dataset(data, path, seed=4)
-        import json
-
         meta = json.loads(path.read_text().splitlines()[0])["meta"]
         assert meta == {"k": 9, "horizon": 1, "provenance": "predetermined", "seed": 4}
         assert load_dataset(path).provenance == "predetermined"
@@ -290,3 +294,226 @@ def test_dataset_field_shape_mismatch():
             next_states=np.zeros((2, 3), dtype=int),
             provenance="mystery",
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reward_rejected(bad):
+    rewards = np.zeros((2, 3))
+    rewards[1, 2] = bad
+    with pytest.raises(ConfigError, match="rewards must be finite; trajectory 1 step 2"):
+        OfflineDataset(
+            states=np.zeros((2, 3), dtype=int),
+            actions_p1=np.zeros((2, 3), dtype=int),
+            actions_p2=np.zeros((2, 3), dtype=int),
+            rewards=rewards,
+            next_states=np.zeros((2, 3), dtype=int),
+        )
+
+
+FIELDS = ("states", "actions_p1", "actions_p2", "rewards", "next_states")
+
+
+@st.composite
+def datasets(draw):
+    """Arbitrary well-formed datasets: any K (0 included), H, provenance and
+    finite float64 rewards, subnormals and -0.0 included."""
+    k = draw(st.integers(0, 12))
+    horizon = draw(st.integers(1, 4))
+    ints = arrays(np.int64, (k, horizon), elements=st.integers(-(2**63), 2**63 - 1))
+    floats = arrays(np.float64, (k, horizon), elements=st.floats(allow_nan=False, allow_infinity=False))
+    return OfflineDataset(
+        states=draw(ints),
+        actions_p1=draw(ints),
+        actions_p2=draw(ints),
+        rewards=draw(floats),
+        next_states=draw(ints),
+        provenance=draw(st.sampled_from(["behavior", "predetermined"])),
+    )
+
+
+seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
+
+
+def reference_jsonl(dataset, seed):
+    """The per-record ``json.dumps`` rendering the file format is defined by."""
+    meta = {"k": dataset.k, "horizon": dataset.horizon, "provenance": dataset.provenance, "seed": seed}
+    lines = [json.dumps({"meta": meta})]
+    for tau in range(dataset.k):
+        steps = [
+            {
+                "h": h,
+                "s": int(dataset.states[tau, h]),
+                "a": int(dataset.actions_p1[tau, h]),
+                "b": int(dataset.actions_p2[tau, h]),
+                "r": float(dataset.rewards[tau, h]),
+                "s_next": int(dataset.next_states[tau, h]),
+            }
+            for h in range(dataset.horizon)
+        ]
+        lines.append(json.dumps({"tau": tau, "steps": steps}))
+    return "\n".join(lines) + "\n"
+
+
+class TestSerializationProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(datasets(), seeds)
+    def test_round_trip_is_array_equal(self, tmp_path_factory, data, seed):
+        path = tmp_path_factory.mktemp("rt") / "data.jsonl"
+        save_dataset(data, path, seed=seed)
+        loaded = load_dataset(path)
+        assert loaded.provenance == data.provenance
+        for name in FIELDS:
+            got, want = getattr(loaded, name), getattr(data, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            # bitwise, so -0.0 and every float's last digit survive too
+            assert got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(datasets(), seeds)
+    def test_bytes_match_reference_writer(self, tmp_path_factory, data, seed):
+        path = tmp_path_factory.mktemp("bytes") / "data.jsonl"
+        save_dataset(data, path, seed=seed)
+        assert path.read_bytes() == reference_jsonl(data, seed).encode()
+
+    def test_collected_dataset_matches_reference_writer(self, three_state, tmp_path):
+        p1, p2 = uniform_pair(three_state)
+        data = collect_behavior(three_state, p1, p2, 300, np.random.default_rng(9))
+        path = tmp_path / "data.jsonl"
+        save_dataset(data, path, seed=9)
+        assert path.read_bytes() == reference_jsonl(data, 9).encode()
+
+
+def _set_step(tau, h, key, value):
+    def mutate(meta, trajectories):
+        trajectories[tau]["steps"][h][key] = value
+    return mutate
+
+
+def _set_meta(key, value):
+    def mutate(meta, trajectories):
+        meta["meta"][key] = value
+    return mutate
+
+
+def _drop_meta(key):
+    def mutate(meta, trajectories):
+        meta["meta"].pop(key)
+    return mutate
+
+
+def _set_tau(tau, value):
+    def mutate(meta, trajectories):
+        trajectories[tau]["tau"] = value
+    return mutate
+
+
+def _drop_step_key(key):
+    def mutate(meta, trajectories):
+        trajectories[1]["steps"][2].pop(key)
+    return mutate
+
+
+def _meta_not_object(meta, trajectories):
+    meta["meta"] = [3, 3]
+
+
+def _swap_trajectories(meta, trajectories):
+    trajectories[0], trajectories[1] = trajectories[1], trajectories[0]
+
+
+def _swap_steps(meta, trajectories):
+    steps = trajectories[2]["steps"]
+    steps[0], steps[1] = steps[1], steps[0]
+
+
+def _drop_last_step(meta, trajectories):
+    trajectories[1]["steps"].pop()
+
+
+def _extra_step(meta, trajectories):
+    trajectories[1]["steps"].append(dict(trajectories[1]["steps"][-1], h=3))
+
+
+def _drop_record_key(key):
+    def mutate(meta, trajectories):
+        trajectories[2].pop(key)
+    return mutate
+
+
+MALFORMED = {
+    "meta-not-object": (_meta_not_object, "meta record is not an object"),
+    "meta-lacks-k": (_drop_meta("k"), "meta record lacks 'k'"),
+    "meta-lacks-horizon": (_drop_meta("horizon"), "meta record lacks 'horizon'"),
+    "meta-negative-k": (_set_meta("k", -1), "meta k must be a nonnegative integer"),
+    "meta-float-k": (_set_meta("k", 3.0), "meta k must be a nonnegative integer"),
+    "meta-string-k": (_set_meta("k", "3"), "meta k must be a nonnegative integer"),
+    "meta-negative-horizon": (_set_meta("horizon", -3), "meta horizon must be a nonnegative integer"),
+    "meta-bool-horizon": (_set_meta("horizon", True), "meta horizon must be a nonnegative integer"),
+    "tau-duplicated": (_set_tau(2, 1), "trajectory 2 has tau 1, expected 2"),
+    "tau-negative": (_set_tau(2, -1), "trajectory 2 has tau -1, expected 2"),
+    "tau-out-of-order": (_swap_trajectories, "trajectory 0 has tau 1, expected 0"),
+    "tau-float": (_set_tau(1, 1.0), "tau value 1.0 is not an integer"),
+    "tau-missing": (_drop_record_key("tau"), "missing key 'tau'"),
+    "steps-missing": (_drop_record_key("steps"), "missing key 'steps'"),
+    "h-duplicated": (_set_step(0, 2, "h", 1), r"trajectory 0 has h \[0, 1, 1\], expected \[0, 1, 2\]"),
+    "h-out-of-order": (_swap_steps, r"trajectory 2 has h \[1, 0, 2\]"),
+    "h-out-of-range": (_set_step(1, 0, "h", 3), r"trajectory 1 has h \[3, 1, 2\]"),
+    "h-string": (_set_step(1, 0, "h", "0"), "h value '0' is not an integer"),
+    "too-few-steps": (_drop_last_step, "trajectory 1 has 2 steps, expected 3"),
+    "too-many-steps": (_extra_step, "trajectory 1 has 4 steps, expected 3"),
+    "step-lacks-s": (_drop_step_key("s"), "missing key 's'"),
+    "step-lacks-r": (_drop_step_key("r"), "missing key 'r'"),
+    "step-lacks-s_next": (_drop_step_key("s_next"), "missing key 's_next'"),
+    "state-float": (_set_step(0, 1, "s", 1.5), "s value 1.5 is not an integer"),
+    "action-bool": (_set_step(0, 1, "a", True), "a value True is not an integer"),
+    "state-too-large": (_set_step(0, 1, "s", 2**70), "s value out of range"),
+    "reward-string": (_set_step(0, 1, "r", "0.5"), "r value '0.5' is not a number"),
+    "reward-too-large": (_set_step(0, 1, "r", 10**400), "r value out of range"),
+    "reward-nan": (_set_step(1, 1, "r", float("nan")), "rewards must be finite; trajectory 1 step 1"),
+    "reward-inf": (_set_step(2, 0, "r", float("inf")), "rewards must be finite; trajectory 2 step 0"),
+    "reward-neg-inf": (_set_step(0, 2, "r", float("-inf")), "rewards must be finite; trajectory 0 step 2"),
+}
+
+
+@pytest.fixture()
+def valid_jsonl(three_state, tmp_path):
+    """A three-state dataset file (K=3) that ``pmvi run`` accepts, parsed."""
+    p1, p2 = uniform_pair(three_state)
+    data = collect_behavior(three_state, p1, p2, 3, np.random.default_rng(0))
+    path = tmp_path / "data.jsonl"
+    save_dataset(data, path, seed=0)
+    meta, *trajectories = map(json.loads, path.read_text().splitlines())
+    return path, meta, trajectories
+
+
+def test_valid_base_file_runs(valid_jsonl, capsys):
+    path, _, _ = valid_jsonl
+    assert main(["run", "--game", "three-state", "--dataset", str(path)]) == 0
+
+
+@pytest.mark.parametrize("mutate,message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_rejected(valid_jsonl, capsys, mutate, message):
+    path, meta, trajectories = valid_jsonl
+    mutate(meta, trajectories)
+    path.write_text("".join(json.dumps(record) + "\n" for record in (meta, *trajectories)))
+    with pytest.raises(ConfigError, match=message) as info:
+        load_dataset(path)
+    assert str(path) in str(info.value)
+    assert main(["run", "--game", "three-state", "--dataset", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_undecodable_line_is_named(valid_jsonl):
+    path, _, _ = valid_jsonl
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        load_dataset(path)
+
+
+def test_binary_file_rejected(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"meta": \xff\xfe}\n')
+    with pytest.raises(ConfigError, match="cannot read dataset file"):
+        load_dataset(path)

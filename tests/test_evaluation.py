@@ -157,6 +157,14 @@ class TestSuboptimality:
         assert report.subb == pytest.approx(abs(report.v_star - report.v_pair), abs=0)
         assert report.sub >= -1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_best_response_values_match_best_response_value(self, seed):
+        game = pmvi.three_state_game()
+        pol_max, pol_min = random_product_policy(game, 20 + seed)
+        report = suboptimality(game, pol_max, pol_min)
+        assert report.v_min_br == best_response_value(game, pol_max)[0].initial(game)
+        assert report.v_max_br == best_response_value(game, pol_min)[0].initial(game)
+
 
 class TestExpectedTotal:
     @pytest.mark.parametrize("seed", range(3))
