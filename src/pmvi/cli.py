@@ -25,13 +25,7 @@ import numpy as np
 
 from .data import balanced_schedule, collect_behavior, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, InvariantError
-from .evaluation import (
-    bellman_error_tables,
-    exact_nash_values,
-    sandwich_holds,
-    suboptimality,
-    theorem_bound_rhs,
-)
+from .evaluation import exact_nash_values
 from .games import (
     MarkovPolicy,
     TabularLinearMG,
@@ -43,7 +37,7 @@ from .games import (
 )
 from .hard_instances import build_game, run_lower_bound_experiment
 from .matrix_nash import solve_zero_sum
-from .uncertainty import relative_uncertainty, well_explored_check
+from .uncertainty import diagnose, well_explored_check
 from .value_iteration import PmviConfig, output_to_dict, run_pmvi
 
 _REGISTRY_HELP = (
@@ -153,44 +147,26 @@ def _cmd_generate_data(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     game = _load_game_spec(args.game)
-    behavior_known = False
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         validate_dataset(game, dataset)
+        lams = None  # the behavior pair behind a file is unknown
     else:
         if args.k is None:
             raise ConfigError("run needs either --dataset or --k")
         rng = np.random.default_rng(args.seed)
         u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
         dataset = collect_behavior(game, u1, u2, args.k, rng)
-        behavior_known = True
-    config = _config_from_args(args)
-    output = run_pmvi(game, dataset, config)
-    nash = exact_nash_values(game)
-    report = suboptimality(game, output.policy_max, output.policy_min)
-    iota_lo, iota_up = bellman_error_tables(game, output)
-    ru = relative_uncertainty(game, dataset, ne_pairs=[(nash.policy_max, nash.policy_min)])
-    lams = None
-    if behavior_known:
         lams = well_explored_check(game, u1, u2)[1].tolist()
+    output = run_pmvi(game, dataset, _config_from_args(args))
     doc = {
         "game": args.game,
         "k": dataset.k,
         "horizon": game.horizon,
         "dim": game.dim,
-        "beta": output.beta,
         "c": None if args.beta is not None else args.c,
-        "v_lower": output.v_lower.initial(game),
-        "v_upper": output.v_upper.initial(game),
-        "v_star": report.v_star,
-        "sub": report.sub,
-        "subb": report.subb,
-        "bound_rhs": theorem_bound_rhs(game, output, nash),
-        "sandwich_ok": sandwich_holds(iota_lo, iota_up, output.bonus),
-        "ru": ru.ru,
-        "ru_max_side": ru.ru_max_side,
-        "ru_min_side": ru.ru_min_side,
         "lambda_min": lams,
+        **diagnose(game, output, exact_nash_values(game)),
     }
     _print_json(doc)
     if args.dump is not None:
@@ -210,34 +186,28 @@ def _sweep_row(task: tuple) -> dict:
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     dataset = collect_behavior(game, u1, u2, k, rng)
     output = run_pmvi(game, dataset, config)
-    nash = exact_nash_values(game)
-    report = suboptimality(game, output.policy_max, output.policy_min)
-    iota_lo, iota_up = bellman_error_tables(game, output)
-    ru = relative_uncertainty(game, dataset, ne_pairs=[(nash.policy_max, nash.policy_min)])
-    lams = well_explored_check(game, u1, u2)[1]
     return {
         "seed": seed,
         "K": k,
-        "beta": output.beta,
         "c": None if beta is not None else c,
-        "sub": report.sub,
-        "subb": report.subb,
-        "bound_rhs": theorem_bound_rhs(game, output, nash),
-        "sandwich_ok": sandwich_holds(iota_lo, iota_up, output.bonus),
-        "ru": ru.ru,
-        "ru_max_side": ru.ru_max_side,
-        "ru_min_side": ru.ru_min_side,
-        "lambda_min": [float(x) for x in lams],
+        **diagnose(game, output, exact_nash_values(game)),
     }
 
 
 def _cmd_rate_sweep(args: argparse.Namespace) -> int:
     ks = _parse_k_list(args.k)
+    distinct = sorted(set(ks))
+    if len(distinct) < 2:
+        raise ConfigError("rate-sweep needs at least two distinct dataset sizes to fit a rate")
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     game = _load_game_spec(args.game)  # fail fast on bad specs
-    horizon = game.horizon
+    # every row collects under the same uniform pair on the same game
+    u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
+    lams = [float(x) for x in well_explored_check(game, u1, u2)[1]]
     tasks = [
         (args.game, k, seed, args.beta, args.c, args.p) for k in ks for seed in seeds
     ]
@@ -247,25 +217,15 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
     else:
         rows = [_sweep_row(task) for task in tasks]
 
-    header = [
+    keys = [
         "seed", "K", "beta", "c", "sub", "subb", "bound_rhs", "sandwich_ok",
         "ru", "ru_max_side", "ru_min_side",
-    ] + [f"lambda_min_h{h + 1}" for h in range(horizon)]
-    table = [
-        [
-            row["seed"], row["K"], row["beta"], row["c"], row["sub"], row["subb"],
-            row["bound_rhs"], row["sandwich_ok"], row["ru"], row["ru_max_side"],
-            row["ru_min_side"], *row["lambda_min"],
-        ]
-        for row in rows
     ]
     if args.out is not None:
-        _write_csv(args.out, header, table)
+        header = keys + [f"lambda_min_h{h + 1}" for h in range(game.horizon)]
+        _write_csv(args.out, header, [[row[key] for key in keys] + lams for row in rows])
 
-    distinct = sorted(set(ks))
-    means = []
-    for k in distinct:
-        means.append(float(np.mean([r["sub"] for r in rows if r["K"] == k])))
+    means = [float(np.mean([r["sub"] for r in rows if r["K"] == k])) for k in distinct]
     summary: dict = {
         "k_values": distinct,
         "mean_sub": means,
@@ -273,8 +233,6 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
         "out": args.out,
         "sandwich_rate": float(np.mean([1.0 if r["sandwich_ok"] else 0.0 for r in rows])),
     }
-    if len(distinct) < 2:
-        raise ConfigError("rate-sweep needs at least two distinct dataset sizes to fit a rate")
     if min(means) <= 0.0:
         summary["slope"] = None
         summary["degenerate"] = True
@@ -332,8 +290,7 @@ def _cmd_solve_matrix(args: argparse.Namespace) -> int:
             payload = json.loads(Path(args.file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read matrix file {args.file}: {exc}") from exc
-    matrix = np.asarray(payload, dtype=np.float64)
-    solution = solve_zero_sum(matrix, tol=args.tol)
+    solution = solve_zero_sum(payload, tol=args.tol)
     _print_json(
         {
             "row_strategy": solution.row_strategy.tolist(),

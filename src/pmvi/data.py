@@ -26,7 +26,12 @@ from .games import TabularLinearMG, MarkovPolicy
 
 
 def _int_matrix(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.int64)
+    """``value`` as an int64 matrix.  Floats, bools and objects are rejected
+    rather than truncated; an empty array may have any dtype."""
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 2:
         raise ConfigError(f"{name} must be 2-d, got shape {arr.shape}")
     return arr
@@ -80,22 +85,12 @@ class CountStats:
     """Counting statistics of a dataset's first step.
 
     - ``first_pair_counts[i, j]``: episodes whose first action pair was (i, j)
-    - ``action_next_counts[i, s]``: episodes with first max-action i landing in s
-    - ``next_state_counts[s]``: episodes whose second state was s
     - ``first_action_counts[i]``: row sums of ``first_pair_counts``
     """
 
     first_pair_counts: np.ndarray
-    action_next_counts: np.ndarray
-    next_state_counts: np.ndarray
     first_action_counts: np.ndarray
     k: int
-
-    def min_cross_count(self, action: int) -> int:
-        """min over the action's row and column of the first-step pair counts."""
-        row = self.first_pair_counts[action, :].min()
-        col = self.first_pair_counts[:, action].min()
-        return int(min(row, col))
 
 
 def collect_behavior(
@@ -185,27 +180,12 @@ def balanced_schedule(k: int, n_actions_p1: int, n_actions_p2: int | None = None
 
 
 def count_stats(game: TabularLinearMG, dataset: OfflineDataset) -> CountStats:
-    """First-step counting statistics (pair counts, landing counts, ...)."""
+    """First-step action-pair counts and their per-max-action totals."""
     check_dataset_bounds(game, dataset)
-    a1c, a2c, sc = game.n_actions_p1, game.n_actions_p2, game.n_states
-    if dataset.k:
-        first_a1 = dataset.actions_p1[:, 0]
-        first_a2 = dataset.actions_p2[:, 0]
-        second_s = dataset.next_states[:, 0]
-        pair = np.bincount(first_a1 * a2c + first_a2, minlength=a1c * a2c).reshape(a1c, a2c)
-        cross = np.bincount(first_a1 * sc + second_s, minlength=a1c * sc).reshape(a1c, sc)
-        landing = np.bincount(second_s, minlength=sc)
-    else:
-        pair = np.zeros((a1c, a2c), dtype=np.int64)
-        cross = np.zeros((a1c, sc), dtype=np.int64)
-        landing = np.zeros(sc, dtype=np.int64)
-    return CountStats(
-        first_pair_counts=pair,
-        action_next_counts=cross,
-        next_state_counts=landing,
-        first_action_counts=pair.sum(axis=1),
-        k=dataset.k,
-    )
+    a1c, a2c = game.n_actions_p1, game.n_actions_p2
+    first_pairs = dataset.actions_p1[:, 0] * a2c + dataset.actions_p2[:, 0]
+    pair = np.bincount(first_pairs, minlength=a1c * a2c).reshape(a1c, a2c)
+    return CountStats(first_pair_counts=pair, first_action_counts=pair.sum(axis=1), k=dataset.k)
 
 
 def validate_dataset(game: TabularLinearMG, dataset: OfflineDataset) -> None:

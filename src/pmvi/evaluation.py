@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, bellman_apply
 from .matrix_nash import solve_zero_sum
-from .value_iteration import PmviOutput, bonus_tables
+from .value_iteration import PmviOutput
 
 _CHAIN_ATOL = 1e-8
 
@@ -131,11 +131,21 @@ def suboptimality(
     game: TabularLinearMG,
     policy_max: MarkovPolicy,
     policy_min: MarkovPolicy,
-    tol: float = 1e-9,
+    nash: NashValues | None = None,
 ) -> EvaluationReport:
-    """Exact duality-gap report for a policy pair from the initial state."""
+    """Exact duality-gap report for a policy pair from the initial state.
+
+    ``nash`` is the game's :func:`exact_nash_values`; it is computed when
+    omitted, so a caller that already holds it saves the solves.
+    """
     _expect_players(policy_max, policy_min)
-    nash = exact_nash_values(game, tol=tol)
+    if nash is None:
+        nash = exact_nash_values(game)
+    elif nash.v_star.values.shape != (game.horizon, game.n_states):
+        raise ConfigError(
+            f"nash tables of shape {nash.v_star.values.shape} do not match the game "
+            f"{(game.horizon, game.n_states)}"
+        )
     v_star = nash.v_star.initial(game)
     v_min_br = float(_best_response_dp(game, policy_max)[0][0, game.initial_state])
     v_max_br = float(_best_response_dp(game, policy_min)[0][0, game.initial_state])
@@ -220,9 +230,8 @@ def theorem_bound_rhs(
     ``2 beta sum_h E_{pi*, nu_aux}[sqrt(phi' Lambda_h^-1 phi)]
       + 2 beta sum_h E_{pi_aux, nu*}[sqrt(phi' Lambda_h^-1 phi)]``.
     """
-    unit = bonus_tables(game, output.gram, beta=1.0)
-    first = expected_total(game, nash.policy_max, output.policy_min_aux, unit)
-    second = expected_total(game, output.policy_max_aux, nash.policy_min, unit)
+    first = expected_total(game, nash.policy_max, output.policy_min_aux, output.unit_bonus)
+    second = expected_total(game, output.policy_max_aux, nash.policy_min, output.unit_bonus)
     return 2.0 * output.beta * (first + second)
 
 

@@ -45,7 +45,10 @@ class RegularityWarning(UserWarning):
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a rectangular numeric array: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite entries")
     return arr
@@ -82,6 +85,9 @@ class TabularLinearMG:
     def __post_init__(self) -> None:
         if self.validation not in ("strict", "warn"):
             raise ConfigError(f"unknown validation mode {self.validation!r}")
+        if isinstance(self.initial_state, bool) or not isinstance(self.initial_state, (int, np.integer)):
+            raise ConfigError(f"initial_state must be an integer, got {self.initial_state!r}")
+        object.__setattr__(self, "initial_state", int(self.initial_state))
         object.__setattr__(self, "transition", _freeze(_float_array(self.transition, "transition")))
         object.__setattr__(self, "reward", _freeze(_float_array(self.reward, "reward")))
         object.__setattr__(self, "features", _freeze(_float_array(self.features, "features")))
@@ -247,9 +253,6 @@ class QTable:
             raise ConfigError(f"Q table must have shape (H,S,A1,A2), got {values.shape}")
         object.__setattr__(self, "values", _freeze(values))
 
-    def at(self, h: int, s: int) -> np.ndarray:
-        return self.values[h, s]
-
 
 @dataclass(frozen=True)
 class VTable:
@@ -262,9 +265,6 @@ class VTable:
         if values.ndim != 2:
             raise ConfigError(f"V table must have shape (H,S), got {values.shape}")
         object.__setattr__(self, "values", _freeze(values))
-
-    def at(self, h: int, s: int) -> float:
-        return float(self.values[h, s])
 
     def initial(self, game: TabularLinearMG) -> float:
         return float(self.values[0, game.initial_state])
@@ -317,16 +317,6 @@ def one_hot_featurize(
     )
 
 
-def sample_step(
-    game: TabularLinearMG, h: int, s: int, a: int, b: int, rng: np.random.Generator
-) -> tuple[float, int]:
-    """Draw one environment step: deterministic reward plus a sampled next state."""
-    reward = float(game.reward[h, s, a, b])
-    cum = np.cumsum(game.transition[h, s, a, b])
-    nxt = int(np.searchsorted(cum, rng.random(), side="right"))
-    return reward, min(nxt, game.n_states - 1)
-
-
 # -- JSON serialization --------------------------------------------------------
 
 
@@ -352,7 +342,7 @@ def game_from_dict(doc: dict, validation: str = "strict") -> TabularLinearMG:
         labels = tuple(states) if isinstance(states, list) else None
         transition = doc["transition"]
         reward = doc["reward"]
-        initial_state = int(doc.get("initial_state", 0))
+        initial_state = doc.get("initial_state", 0)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed game document: missing {exc}") from exc
     linear_keys = [k for k in ("features", "theta", "mu") if k in doc]

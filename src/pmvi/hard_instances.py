@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import CountStats, OfflineDataset, collect_predetermined, count_stats
 from .errors import ConfigError, InvariantError
-from .evaluation import suboptimality
+from .evaluation import exact_nash_values, suboptimality
 from .games import MarkovPolicy, TabularLinearMG
 from .uncertainty import relative_uncertainty
 
@@ -208,7 +208,8 @@ def run_lower_bound_experiment(
     For each game and seed the schedule is replayed with fresh transition
     noise, the algorithm maps the dataset to a policy pair, and the row
     records ``subb = V* - V^{pair}`` at the start state together with the
-    dataset's relative uncertainty.  In this family ``subb`` has a closed
+    dataset's relative uncertainty.  Each game's exact equilibrium is solved
+    once and shared by every seed.  In this family ``subb`` has a closed
     form -- ``(H-1) * 2 delta * (1 - pihat(best action))`` -- which is
     asserted against the measured value as a consistency check.
     """
@@ -222,13 +223,15 @@ def run_lower_bound_experiment(
         ("one", pair.game_one, 0),
         ("two", pair.game_two, 1),
     ):
+        nash = exact_nash_values(game)
+        ne_pairs = [(nash.policy_max, nash.policy_min)]
         for seed in seeds:
             rng = np.random.default_rng(seed)
             dataset = collect_predetermined(game, schedule, rng)
             if stats is None:
                 stats = count_stats(game, dataset)
             policy_max, policy_min = algorithm(game, dataset)
-            report = suboptimality(game, policy_max, policy_min)
+            report = suboptimality(game, policy_max, policy_min, nash=nash)
             predicted = (
                 (horizon - 1)
                 * gap
@@ -239,7 +242,7 @@ def run_lower_bound_experiment(
                     f"closed-form gap {predicted!r} disagrees with measured "
                     f"{report.subb!r} (game {game_id}, seed {seed})"
                 )
-            ru = relative_uncertainty(game, dataset)
+            ru = relative_uncertainty(game, dataset, ne_pairs=ne_pairs)
             rows.append(
                 {
                     "game": game_id,

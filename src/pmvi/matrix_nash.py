@@ -116,7 +116,10 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     computed pair exceeds ``tol`` (which for well-scaled inputs indicates a
     bug, not an unlucky instance).
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    try:
+        m = np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"payoff matrix is not a rectangular numeric array: {exc}") from exc
     if m.ndim != 2 or m.size == 0:
         raise ConfigError(f"payoff matrix must be 2-d and nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -143,8 +146,3 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     if not gap <= tol:
         raise SolverError(f"equilibrium certificate failed: exploitability {gap:.3e} > tol {tol:.3e}")
     return NashSolution(row_strategy=x, col_strategy=y, value=value, exploitability=gap)
-
-
-def game_value(matrix, tol: float = 1e-9) -> float:
-    """The minimax value ``max_x min_y x' M y`` of a zero-sum matrix game."""
-    return solve_zero_sum(matrix, tol=tol).value

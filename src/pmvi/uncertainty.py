@@ -12,6 +12,10 @@ verifies the per-direction domination ``Lambda_h >= I + c1 K E[phi phi']``
 against every deterministic opponent response, and ``well_explored_check``
 looks at the smallest eigenvalue of the behavior pair's expected feature
 outer product.
+
+``diagnose`` is the one report behind ``pmvi run`` and ``pmvi rate-sweep``:
+gaps, bound, sandwich and RU of one algorithm run, built from the run's own
+unit bonus and one set of exact equilibrium values.
 """
 
 from __future__ import annotations
@@ -24,9 +28,16 @@ import numpy as np
 
 from .data import OfflineDataset
 from .errors import ConfigError
-from .evaluation import exact_nash_values, expected_total
+from .evaluation import (
+    NashValues,
+    bellman_error_tables,
+    exact_nash_values,
+    sandwich_holds,
+    suboptimality,
+    theorem_bound_rhs,
+)
 from .games import MarkovPolicy, TabularLinearMG
-from .value_iteration import bonus_tables, gram_matrices
+from .value_iteration import PmviOutput, bonus_tables, gram_matrices
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,16 @@ def relative_uncertainty(
         ne_pairs = [(nash.policy_max, nash.policy_min)]
     if not ne_pairs:
         raise ConfigError("ne_pairs must contain at least one equilibrium pair")
-    gram = gram_matrices(game, dataset)
-    unit = bonus_tables(game, gram, beta=1.0)
+    unit = bonus_tables(game, gram_matrices(game, dataset), beta=1.0)
+    return _relative_uncertainty(game, unit, ne_pairs)
+
+
+def _relative_uncertainty(
+    game: TabularLinearMG,
+    unit: np.ndarray,
+    ne_pairs: Sequence[tuple[MarkovPolicy, MarkovPolicy]],
+) -> RUReport:
+    """RU from a ready unit-bonus table (H, S, A1, A2)."""
     best: tuple[float, float, float, int] | None = None
     for idx, (pi_star, nu_star) in enumerate(ne_pairs):
         if pi_star.player != 1 or nu_star.player != 2:
@@ -117,6 +136,31 @@ def relative_uncertainty(
             best = (ru, max_side, min_side, idx)
     ru, max_side, min_side, idx = best
     return RUReport(ru=ru, ru_max_side=max_side, ru_min_side=min_side, ne_index=idx)
+
+
+def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dict:
+    """The run report shared by ``pmvi run`` and ``pmvi rate-sweep``.
+
+    ``nash`` is the game's :func:`exact_nash_values`.  The bound, the
+    sandwich check and RU all reuse ``output.unit_bonus``; nothing is
+    rebuilt from the dataset.
+    """
+    report = suboptimality(game, output.policy_max, output.policy_min, nash=nash)
+    iota_lo, iota_up = bellman_error_tables(game, output)
+    ru = _relative_uncertainty(game, output.unit_bonus, [(nash.policy_max, nash.policy_min)])
+    return {
+        "beta": output.beta,
+        "v_lower": output.v_lower.initial(game),
+        "v_upper": output.v_upper.initial(game),
+        "v_star": report.v_star,
+        "sub": report.sub,
+        "subb": report.subb,
+        "bound_rhs": theorem_bound_rhs(game, output, nash),
+        "sandwich_ok": sandwich_holds(iota_lo, iota_up, output.bonus),
+        "ru": ru.ru,
+        "ru_max_side": ru.ru_max_side,
+        "ru_min_side": ru.ru_min_side,
+    }
 
 
 def expected_feature_outer(
@@ -219,6 +263,7 @@ __all__ = [
     "RUReport",
     "CoverageReport",
     "bonus_value_dp",
+    "diagnose",
     "relative_uncertainty",
     "expected_feature_outer",
     "coverage_sufficient_check",

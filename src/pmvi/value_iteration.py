@@ -88,13 +88,15 @@ class PmviOutput:
     Policies: ``policy_max``/``policy_min`` are the actual output pair; the
     ``*_aux`` companions are the opposite-side equilibrium strategies of the
     pessimistic resp. optimistic matrices (used by the bound diagnostics).
+    ``unit_bonus`` is the beta = 1 bonus the diagnostics reuse; ``bonus`` is
+    ``beta * unit_bonus``, the penalty the pass applied.
     """
 
     beta: float
     gram: np.ndarray            # (H, d, d)
     weights_lower: np.ndarray   # (H, d)
     weights_upper: np.ndarray   # (H, d)
-    bonus: np.ndarray           # (H, S, A1, A2), beta folded in
+    unit_bonus: np.ndarray      # (H, S, A1, A2), sqrt(phi' Lambda_h^-1 phi)
     q_lower: QTable
     q_upper: QTable
     v_lower: VTable
@@ -105,10 +107,15 @@ class PmviOutput:
     policy_min: MarkovPolicy      # ditto, output side
 
     def __post_init__(self) -> None:
-        for name in ("gram", "weights_lower", "weights_upper", "bonus"):
+        for name in ("gram", "weights_lower", "weights_upper", "unit_bonus"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def bonus(self) -> np.ndarray:
+        """``beta * sqrt(phi' Lambda_h^-1 phi)``, shape (H, S, A1, A2)."""
+        return self.beta * self.unit_bonus
 
 
 def gram_matrices(game: TabularLinearMG, dataset: OfflineDataset) -> np.ndarray:
@@ -187,7 +194,7 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
         gram=gram,
         weights_lower=w_lo,
         weights_upper=w_up,
-        bonus=beta * unit_bonus,
+        unit_bonus=unit_bonus,
         q_lower=QTable(q_lo),
         q_upper=QTable(q_up),
         v_lower=VTable(v_lo[:h_len]),

@@ -61,6 +61,12 @@ class TestSolveMatrix:
         assert code == 2
 
 
+    @pytest.mark.parametrize("payload", ["[[1,2],[3]]", '"abc"', '{"a": 1}'])
+    def test_non_numeric_or_ragged_matrix(self, capsys, payload):
+        code, _, err = call(capsys, "solve-matrix", "--matrix", payload)
+        assert code == 2 and "payoff matrix" in err
+
+
 class TestGenerateData:
     def test_writes_loadable_dataset(self, capsys, tmp_path):
         out_path = tmp_path / "d.jsonl"
@@ -144,6 +150,25 @@ class TestRun:
         code, _, err = call(capsys, "run", "--game", "bandit-cyclic")
         assert code == 2 and "--dataset or --k" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial_state", "abc"),
+            ("initial_state", 1.7),
+            ("initial_state", True),
+            ("reward", "x"),
+            ("reward", [[0.5, 0.5], [0.5]]),
+        ],
+    )
+    def test_malformed_game_file_is_exit_2(self, capsys, tmp_path, field, value):
+        doc = pmvi.game_to_dict(pmvi.three_state_game())
+        doc[field] = value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call(capsys, "run", "--game", str(path), "--k", "10")
+        assert code == 2 and out == ""
+        assert field in err and "Traceback" not in err
+
     def test_cross_game_dataset_is_detected(self, capsys, tmp_path):
         data_path = tmp_path / "cyclic.jsonl"
         call(
@@ -194,12 +219,24 @@ class TestRateSweep:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_single_size_rejected(self, capsys):
+    def test_single_size_rejected(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
         code, _, err = call(
             capsys, "rate-sweep", "--game", "bandit-mixed", "--k", "50",
-            "--seeds", "2", "--beta", "0.5",
+            "--seeds", "2", "--beta", "0.5", "--out", str(out_csv),
         )
         assert code == 2 and "two distinct" in err
+        assert not out_csv.exists()  # rejected before any row runs
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = call(
+            capsys, "rate-sweep", "--game", "bandit-mixed", "--k", "20,40",
+            "--seeds", "2", "--beta", "0.5", "--jobs", jobs, "--out", str(out_csv),
+        )
+        assert code == 2 and "--jobs" in err
+        assert not out_csv.exists()
 
     def test_empty_seed_range_rejected(self, capsys):
         code, _, err = call(

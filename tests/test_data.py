@@ -78,6 +78,14 @@ class TestCollectBehavior:
         counts = np.bincount(data.actions_p1[:, 0], minlength=3)
         assert scipy.stats.chisquare(counts).pvalue > 1e-3
 
+    def test_next_states_follow_transition(self, three_state):
+        p1, p2 = uniform_pair(three_state)
+        data = collect_behavior(three_state, p1, p2, 80_000, np.random.default_rng(123))
+        cell = (data.actions_p1[:, 0] == 1) & (data.actions_p2[:, 0] == 0)
+        counts = np.bincount(data.next_states[cell, 0], minlength=3)
+        expected = three_state.transition[0, 0, 1, 0] * cell.sum()
+        assert scipy.stats.chisquare(counts, expected).pvalue > 1e-3
+
     def test_policy_shape_mismatch(self, three_state):
         small = MarkovPolicy.uniform(pmvi.cyclic_bandit(), 1)
         _, p2 = uniform_pair(three_state)
@@ -139,25 +147,10 @@ class TestCountStats:
         stats = count_stats(three_state, data)
         assert stats.k == 200
         assert stats.first_pair_counts.sum() == 200
-        assert stats.next_state_counts.sum() == 200
         assert np.array_equal(stats.first_action_counts, stats.first_pair_counts.sum(axis=1))
         assert np.array_equal(
-            stats.action_next_counts.sum(axis=1), stats.first_action_counts
+            stats.first_action_counts, np.bincount(data.actions_p1[:, 0], minlength=2)
         )
-
-    def test_min_cross_count_hand_example(self):
-        game = pmvi.cyclic_bandit()
-        # first pairs: (0,0) x2, (0,1), (1,0), (2,2) -> row0 = [2,1,0], col0 = [2,1,0]
-        schedule = np.array([[0, 0], [0, 0], [0, 1], [1, 0], [2, 2]])
-        data = collect_predetermined(game, schedule, np.random.default_rng(0))
-        stats = count_stats(game, data)
-        assert np.array_equal(
-            stats.first_pair_counts, [[2, 1, 0], [1, 0, 0], [0, 0, 1]]
-        )
-        assert stats.min_cross_count(0) == 0
-        assert stats.min_cross_count(2) == 0
-        full = collect_predetermined(game, balanced_schedule(18, 3, 3), np.random.default_rng(0))
-        assert count_stats(game, full).min_cross_count(1) == 2
 
 
 def _tampered(data, **overrides):
@@ -308,6 +301,24 @@ def test_non_finite_reward_rejected(bad):
             rewards=rewards,
             next_states=np.zeros((2, 3), dtype=int),
         )
+
+
+@pytest.mark.parametrize("field", ["states", "actions_p1", "actions_p2", "next_states"])
+@pytest.mark.parametrize(
+    "bad,dtype",
+    [([[1.7]], "float64"), ([[1.0]], "float64"), ([[True]], "bool"), ([[object()]], "object")],
+)
+def test_non_integer_index_rejected(field, bad, dtype):
+    columns = {name: [[0]] for name in ("states", "actions_p1", "actions_p2", "next_states")}
+    columns[field] = bad
+    with pytest.raises(ConfigError, match=f"{field} must hold integers, got dtype {dtype}"):
+        OfflineDataset(rewards=[[0.0]], **columns)
+
+
+def test_empty_dataset_accepts_any_dtype():
+    empty = np.empty((0, 3))
+    data = OfflineDataset(states=empty, actions_p1=empty, actions_p2=empty, rewards=empty, next_states=empty)
+    assert data.k == 0 and data.states.dtype == np.int64
 
 
 FIELDS = ("states", "actions_p1", "actions_p2", "rewards", "next_states")

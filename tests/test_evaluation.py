@@ -166,6 +166,20 @@ class TestSuboptimality:
         assert report.v_max_br == best_response_value(game, pol_min)[0].initial(game)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_given_nash_gives_the_same_report(self, seed):
+        game = pmvi.three_state_game()
+        pol_max, pol_min = random_product_policy(game, 30 + seed)
+        nash = exact_nash_values(game)
+        assert suboptimality(game, pol_max, pol_min, nash=nash) == suboptimality(game, pol_max, pol_min)
+
+    def test_nash_of_another_game_rejected(self):
+        game = pmvi.three_state_game()
+        pol_max, pol_min = random_product_policy(game, 0)
+        with pytest.raises(ConfigError, match="do not match the game"):
+            suboptimality(game, pol_max, pol_min, nash=exact_nash_values(pmvi.cyclic_bandit()))
+
+
 class TestExpectedTotal:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_trajectory_enumeration(self, seed):

@@ -1,11 +1,10 @@
-"""Game container: validation, featurization, serialization, sampling."""
+"""Game container: validation, featurization, serialization."""
 
 import json
 import warnings
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,14 +13,12 @@ from pmvi import (
     ConfigError,
     InvariantError,
     MarkovPolicy,
-    QTable,
     RegularityWarning,
     TabularLinearMG,
     VTable,
     bellman_apply,
     one_hot_featurize,
 )
-from pmvi.games import sample_step
 
 
 def random_tabular(seed: int, h=2, s=3, a1=2, a2=2):
@@ -194,10 +191,6 @@ class TestPolicies:
 
 
 def test_tables_accessors():
-    q = QTable(np.arange(8.0).reshape(1, 2, 2, 2))
-    assert np.array_equal(q.at(0, 1), np.array([[4.0, 5.0], [6.0, 7.0]]))
-    v = VTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert v.at(1, 0) == 3.0
     game = pmvi.three_state_game()
     v3 = VTable(np.zeros((3, 3)))
     assert v3.initial(game) == 0.0
@@ -231,18 +224,6 @@ class TestBellmanApply:
         game = pmvi.three_state_game()
         with pytest.raises(ConfigError):
             bellman_apply(game, 0, np.zeros(5))
-
-
-def test_sample_step_matches_transition_distribution():
-    game = pmvi.three_state_game()
-    rng = np.random.default_rng(123)
-    draws = np.array([sample_step(game, 0, 0, 1, 0, rng)[1] for _ in range(20_000)])
-    counts = np.bincount(draws, minlength=3)
-    expected = game.transition[0, 0, 1, 0] * 20_000
-    result = scipy.stats.chisquare(counts, expected)
-    assert result.pvalue > 1e-3
-    # deterministic reward comes back unchanged
-    assert sample_step(game, 0, 0, 1, 0, rng)[0] == game.reward[0, 0, 1, 0]
 
 
 class TestSerialization:
@@ -279,6 +260,32 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             pmvi.load_game(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial_state", "abc"),
+            ("initial_state", 1.7),
+            ("initial_state", 1.0),
+            ("initial_state", True),
+            ("initial_state", None),
+            ("reward", "x"),
+            ("reward", [[0.5, 0.5], [0.5]]),
+            ("transition", {"a": 1}),
+            ("features", [[[[1.0]]], "y"]),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        doc = pmvi.game_to_dict(pmvi.build_game(0.5, 0.5))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=field):
+            pmvi.game_from_dict(doc)
+
+    def test_numpy_integer_initial_state_is_stored_as_int(self):
+        transition, reward = random_tabular(3)
+        game = one_hot_featurize(transition, reward, initial_state=np.int64(2))
+        assert type(game.initial_state) is int and game.initial_state == 2
+        assert json.loads(json.dumps(pmvi.game_to_dict(game)))["initial_state"] == 2
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pmvi
-from pmvi import ConfigError, SolverError, best_pure_response_gap, game_value, solve_zero_sum
+from pmvi import ConfigError, SolverError, best_pure_response_gap, solve_zero_sum
 
 from oracles import exact_matrix_equilibrium, exact_matrix_value
 
@@ -53,7 +53,7 @@ def test_zero_matrix_everything_optimal():
     ],
 )
 def test_builtin_payoff_values(payoff, value):
-    assert game_value(np.array(payoff)) == pytest.approx(value, abs=TOL)
+    assert solve_zero_sum(np.array(payoff)).value == pytest.approx(value, abs=TOL)
 
 
 def test_builtin_payoff_pure_equilibria():
@@ -83,7 +83,7 @@ def test_oracle_agreement_small_integer_matrices():
     rng = np.random.default_rng(42)
     for _ in range(500):
         matrix = rng.integers(-1, 2, size=(3, 3)).astype(float)
-        assert game_value(matrix) == pytest.approx(float(exact_matrix_value(matrix)), abs=TOL)
+        assert solve_zero_sum(matrix).value == pytest.approx(float(exact_matrix_value(matrix)), abs=TOL)
 
 
 def test_oracle_agreement_rectangular_floats():
@@ -91,7 +91,7 @@ def test_oracle_agreement_rectangular_floats():
     for _ in range(100):
         shape = rng.choice([(2, 5), (5, 2), (3, 4), (4, 4)])
         matrix = rng.uniform(-2.0, 2.0, size=tuple(shape))
-        assert game_value(matrix) == pytest.approx(float(exact_matrix_value(matrix)), abs=TOL)
+        assert solve_zero_sum(matrix).value == pytest.approx(float(exact_matrix_value(matrix)), abs=TOL)
 
 
 def test_shift_scale_equivariance():
@@ -99,8 +99,8 @@ def test_shift_scale_equivariance():
     for _ in range(50):
         matrix = rng.uniform(-1.0, 1.0, size=(3, 3))
         a, b = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0)
-        assert game_value(a * matrix + b) == pytest.approx(
-            a * game_value(matrix) + b, abs=1e-8
+        assert solve_zero_sum(a * matrix + b).value == pytest.approx(
+            a * solve_zero_sum(matrix).value + b, abs=1e-8
         )
 
 
@@ -110,7 +110,7 @@ def test_non_expansiveness_in_payoffs():
     for _ in range(200):
         matrix = rng.uniform(-1.0, 1.0, size=(3, 3))
         noise = rng.uniform(-0.3, 0.3, size=(3, 3))
-        dv = abs(game_value(matrix + noise) - game_value(matrix))
+        dv = abs(solve_zero_sum(matrix + noise).value - solve_zero_sum(matrix).value)
         assert dv <= np.abs(noise).max() + 2 * TOL
 
 

@@ -1,4 +1,10 @@
-"""Dataset-quality diagnostics: bonus DP, relative uncertainty, coverage."""
+"""Dataset-quality diagnostics: bonus DP, relative uncertainty, coverage,
+the shared run report and what it computes only once."""
+
+import dataclasses
+import importlib
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from pmvi import (
     relative_uncertainty,
     well_explored_check,
 )
+from pmvi.cli import main
 from oracles import brute_force_max_total
 
 
@@ -180,3 +187,75 @@ class TestExpectedFeatureOuter:
         p1, p2 = uniform_pair(game)
         with pytest.raises(ConfigError, match="order"):
             expected_feature_outer(game, p2, p1)
+
+
+def count_calls(monkeypatch, qualname):
+    """Count calls of ``pmvi.<qualname>`` through every pmvi module binding
+    (``from .x import f`` copies the binding into each importing module)."""
+    module_name, attr = qualname.rsplit(".", 1)
+    fn = getattr(importlib.import_module(f"pmvi.{module_name}"), attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(qualname)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "pmvi" or name.startswith("pmvi.")):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestComputeOnce:
+    def test_run_builds_each_artifact_once(self, monkeypatch, capsys):
+        counts = {
+            name: count_calls(monkeypatch, name)
+            for name in (
+                "value_iteration.gram_matrices",
+                "value_iteration.bonus_tables",
+                "evaluation.exact_nash_values",
+            )
+        }
+        assert main(["run", "--game", "three-state", "--k", "300"]) == 0
+        assert json.loads(capsys.readouterr().out)["sandwich_ok"] in (True, False)
+        assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 1)
+
+    def test_lower_bound_solves_each_game_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "evaluation.exact_nash_values")
+
+        def algorithm(game, dataset):
+            out = pmvi.run_pmvi(game, dataset, pmvi.PmviConfig(beta=0.5))
+            return out.policy_max, out.policy_min
+
+        pmvi.run_lower_bound_experiment(algorithm, balanced_schedule(18, 3, 3), [0, 1, 2])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [("three-state", 0), ("three-state", 1), ("three-state", 2), ("hard", 0)],
+    )
+    def test_diagnose_equals_a_from_scratch_report(self, spec, seed):
+        game = pmvi.three_state_game() if spec == "three-state" else pmvi.build_game(0.4, 0.6)
+        p1, p2 = uniform_pair(game)
+        data = collect_behavior(game, p1, p2, 200, np.random.default_rng(seed))
+        out = pmvi.run_pmvi(game, data, pmvi.PmviConfig())
+        report = pmvi.suboptimality(game, out.policy_max, out.policy_min)
+        ru = relative_uncertainty(game, data)
+        fresh = dataclasses.replace(out, unit_bonus=pmvi.bonus_tables(game, pmvi.gram_matrices(game, data)))
+        iota_lo, iota_up = pmvi.bellman_error_tables(game, out)
+        expected = {
+            "beta": out.beta,
+            "v_lower": out.v_lower.initial(game),
+            "v_upper": out.v_upper.initial(game),
+            "v_star": report.v_star,
+            "sub": report.sub,
+            "subb": report.subb,
+            "bound_rhs": pmvi.theorem_bound_rhs(game, fresh, pmvi.exact_nash_values(game)),
+            "sandwich_ok": pmvi.sandwich_holds(iota_lo, iota_up, fresh.bonus),
+            "ru": ru.ru,
+            "ru_max_side": ru.ru_max_side,
+            "ru_min_side": ru.ru_min_side,
+        }
+        assert pmvi.diagnose(game, out, pmvi.exact_nash_values(game)) == expected

@@ -107,6 +107,13 @@ class TestGramAndWeights:
             )
             assert np.allclose(got[h], expected, atol=1e-10)
 
+    def test_output_carries_the_unit_bonus(self):
+        game = pmvi.three_state_game()
+        out = run_pmvi(game, behavior_data(game, 50, 4), PmviConfig(beta=0.7))
+        assert np.array_equal(out.unit_bonus, bonus_tables(game, out.gram))
+        assert np.array_equal(out.bonus, 0.7 * out.unit_bonus)
+        assert not out.unit_bonus.flags.writeable
+
     def test_unit_bonus_closed_form_for_counts(self):
         # one-hot cell visited n times: sqrt(phi' Lambda^-1 phi) = (1+n)^{-1/2}
         game = pmvi.cyclic_bandit()
