@@ -16,6 +16,7 @@ numerical invariant is violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -179,9 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(task: tuple) -> dict:
-    game_spec, k, seed, beta, c, p = task
-    game = _load_game_spec(game_spec)
-    config = PmviConfig(beta=beta) if beta is not None else PmviConfig(beta=None, c=c, p=p)
+    game, k, seed, config = task
     rng = np.random.default_rng(seed)
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     dataset = collect_behavior(game, u1, u2, k, rng)
@@ -189,7 +188,7 @@ def _sweep_row(task: tuple) -> dict:
     return {
         "seed": seed,
         "K": k,
-        "c": None if beta is not None else c,
+        "c": None if config.beta is not None else config.c,
         **diagnose(game, output, exact_nash_values(game)),
     }
 
@@ -204,13 +203,12 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("need at least one seed")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    game = _load_game_spec(args.game)  # fail fast on bad specs
+    game = _load_game_spec(args.game)  # loaded once; every row gets this game
     # every row collects under the same uniform pair on the same game
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     lams = [float(x) for x in well_explored_check(game, u1, u2)[1]]
-    tasks = [
-        (args.game, k, seed, args.beta, args.c, args.p) for k in ks for seed in seeds
-    ]
+    config = _config_from_args(args)
+    tasks = [(game, k, seed, config) for k in ks for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
@@ -362,9 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use and reused: parsing
+    does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

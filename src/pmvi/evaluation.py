@@ -206,18 +206,24 @@ def expected_total(
 ) -> float:
     """``E[sum_h f_h(s_h, a_h, b_h)]`` from the initial state under a joint
     mixed policy pair, for arbitrary per-step tables f of shape (H,S,A1,A2)."""
-    _expect_players(policy_max, policy_min)
     tables = np.asarray(tables, dtype=np.float64)
     if tables.shape != (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2):
         raise ConfigError(f"tables shape {tables.shape} does not match the game")
+    occupancy = _occupancy(game, policy_max, policy_min)
+    return sum(float((joint * table).sum()) for joint, table in zip(occupancy, tables))
+
+
+def _occupancy(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> np.ndarray:
+    """Per-step joint distribution of (s_h, a_h, b_h) from the initial state
+    under a mixed policy pair, shape (H, S, A1, A2)."""
+    _expect_players(policy_max, policy_min)
+    out = np.empty((game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2))
     rho = np.zeros(game.n_states)
     rho[game.initial_state] = 1.0
-    total = 0.0
     for h in range(game.horizon):
-        joint = np.einsum("s,sa,sb->sab", rho, policy_max.probs[h], policy_min.probs[h])
-        total += float((joint * tables[h]).sum())
-        rho = np.einsum("sab,sabt->t", joint, game.transition[h])
-    return total
+        out[h] = np.einsum("s,sa,sb->sab", rho, policy_max.probs[h], policy_min.probs[h])
+        rho = np.einsum("sab,sabt->t", out[h], game.transition[h])
+    return out
 
 
 def theorem_bound_rhs(

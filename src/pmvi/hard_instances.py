@@ -266,14 +266,3 @@ def run_lower_bound_experiment(
     summary["worst_mean_subb"] = max(summary["mean_subb_one"], summary["mean_subb_two"])
     summary["worst_mean_ratio"] = max(summary["mean_ratio_one"], summary["mean_ratio_two"])
     return LowerBoundResult(pair=pair, rows=rows, summary=summary)
-
-
-__all__ = [
-    "Algorithm",
-    "LeCamPair",
-    "LowerBoundResult",
-    "build_game",
-    "le_cam_pair",
-    "dataset_kl",
-    "run_lower_bound_experiment",
-]

@@ -30,6 +30,7 @@ from .data import OfflineDataset
 from .errors import ConfigError
 from .evaluation import (
     NashValues,
+    _occupancy,
     bellman_error_tables,
     exact_nash_values,
     sandwich_holds,
@@ -82,20 +83,26 @@ def bonus_value_dp(
     tables = np.asarray(tables, dtype=np.float64)
     if tables.shape != (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2):
         raise ConfigError(f"tables shape {tables.shape} does not match the game")
+    value, actions = _bonus_dp(game, tables, fixed_policy)
     free_player = 2 if fixed_policy.player == 1 else 1
+    return value, MarkovPolicy.pure(game, free_player, actions)
+
+
+def _bonus_dp(game: TabularLinearMG, tables: np.ndarray, fixed_policy: MarkovPolicy) -> tuple:
+    """The DP behind :func:`bonus_value_dp`: the optimum from the initial
+    state and the free player's maximising actions (H, S), no policy built."""
     w = np.zeros(game.n_states)
     actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
     for h in reversed(range(game.horizon)):
         # payoff of (a, b) at h: current table entry plus continuation
         stage = tables[h] + np.einsum("sabt,t->sab", game.transition[h], w)
-        if free_player == 1:
+        if fixed_policy.player == 2:
             avg = np.einsum("sb,sab->sa", fixed_policy.probs[h], stage)
         else:
             avg = np.einsum("sa,sab->sb", fixed_policy.probs[h], stage)
         actions[h] = np.argmax(avg, axis=1)
         w = avg[np.arange(game.n_states), actions[h]]
-    value = float(w[game.initial_state])
-    return value, MarkovPolicy.pure(game, free_player, actions)
+    return float(w[game.initial_state]), actions
 
 
 def relative_uncertainty(
@@ -129,8 +136,8 @@ def _relative_uncertainty(
     for idx, (pi_star, nu_star) in enumerate(ne_pairs):
         if pi_star.player != 1 or nu_star.player != 2:
             raise ConfigError("each equilibrium pair must be (max-player, min-player)")
-        min_side, _ = bonus_value_dp(game, unit, fixed_policy=pi_star)
-        max_side, _ = bonus_value_dp(game, unit, fixed_policy=nu_star)
+        min_side = _bonus_dp(game, unit, pi_star)[0]
+        max_side = _bonus_dp(game, unit, nu_star)[0]
         ru = max(max_side, min_side)
         if best is None or ru < best[0]:
             best = (ru, max_side, min_side, idx)
@@ -170,16 +177,9 @@ def expected_feature_outer(
 ) -> np.ndarray:
     """Per-step expected feature outer products ``E[phi_h phi_h']`` under a
     joint mixed policy pair from the initial state; shape (H, d, d)."""
-    if policy_max.player != 1 or policy_min.player != 2:
-        raise ConfigError("expected a (max-player, min-player) policy pair in that order")
-    rho = np.zeros(game.n_states)
-    rho[game.initial_state] = 1.0
-    out = np.zeros((game.horizon, game.dim, game.dim))
-    for h in range(game.horizon):
-        joint = np.einsum("s,sa,sb->sab", rho, policy_max.probs[h], policy_min.probs[h])
-        out[h] = np.einsum("sab,sabi,sabj->ij", joint, game.features, game.features)
-        rho = np.einsum("sab,sabt->t", joint, game.transition[h])
-    return out
+    flat = game.features.reshape(-1, game.dim)
+    occupancy = _occupancy(game, policy_max, policy_min)
+    return np.stack([flat.T @ (joint.reshape(-1, 1) * flat) for joint in occupancy])
 
 
 def _deterministic_policies(game: TabularLinearMG, player: int, limit: int):
@@ -257,15 +257,3 @@ def well_explored_check(
     outer = expected_feature_outer(game, policy_max, policy_min)
     lams = np.array([float(np.linalg.eigvalsh(outer[h])[0]) for h in range(game.horizon)])
     return bool((lams >= threshold - 1e-12).all()), lams
-
-
-__all__ = [
-    "RUReport",
-    "CoverageReport",
-    "bonus_value_dp",
-    "diagnose",
-    "relative_uncertainty",
-    "expected_feature_outer",
-    "coverage_sufficient_check",
-    "well_explored_check",
-]

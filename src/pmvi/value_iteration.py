@@ -7,6 +7,13 @@ solves.  With ridge parameter fixed at 1:
     w_h      = Lambda_h^{-1} sum_tau phi_tau (r_tau + V_{h+1}(s'_tau))
     Gamma_h(s,a,b) = beta * sqrt(phi' Lambda_h^{-1} phi)
 
+Features depend only on the cell (s, a, b), so the pass works on per-step
+cell statistics -- visit counts n_h, reward sums R_h and cell-to-next-state
+counts N_h -- with F the (S*A1*A2, d) feature matrix.  This is exact for any
+features and costs O(K + cells * d^2) per step instead of O(K * d^2):
+
+    Lambda_h = I + F' diag(n_h) F,    w_h = Lambda_h^{-1} F' (R_h + N_h V_{h+1})
+
 and two truncated Q estimates: a pessimistic one (bonus subtracted) and an
 optimistic one (bonus added), each clipped to [0, H - h] -- the range of the
 return over the remaining steps.  Each state's pessimistic Q matrix is solved
@@ -121,20 +128,30 @@ class PmviOutput:
 def gram_matrices(game: TabularLinearMG, dataset: OfflineDataset) -> np.ndarray:
     """Per-step regularized Gram matrices ``I + sum_tau phi phi'``, shape (H, d, d)."""
     check_dataset_bounds(game, dataset)
-    d = game.dim
-    gram = np.empty((game.horizon, d, d))
-    eye = RIDGE_LAMBDA * np.eye(d)
-    for h in range(game.horizon):
-        phi = game.features[dataset.states[:, h], dataset.actions_p1[:, h], dataset.actions_p2[:, h]]
-        gram[h] = eye + phi.T @ phi
-    return gram
+    flat = game.features.reshape(-1, game.dim)
+    counts = _step_sums(game.reward.shape, _samples(dataset))
+    eye = RIDGE_LAMBDA * np.eye(game.dim)
+    return np.stack([eye + flat.T @ (n[:, None] * flat) for n in counts])
 
 
-def ridge_weights(gram_h: np.ndarray, phi: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Solve ``gram_h w = phi' targets`` by Cholesky (no explicit inverse)."""
-    rhs = phi.T @ targets
+def ridge_weights(gram_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram_h w = rhs`` by one Cholesky factorisation (no explicit
+    inverse); ``rhs`` is (d,) or (d, m), and every column shares the factor."""
     chol = np.linalg.cholesky(gram_h)
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def _samples(dataset: OfflineDataset) -> tuple:
+    """The (h, s, a, b) multi-index of every sample, broadcastable to (K, H)."""
+    return np.arange(dataset.horizon), dataset.states, dataset.actions_p1, dataset.actions_p2
+
+
+def _step_sums(shape: tuple, index: tuple, weights: np.ndarray | None = None) -> np.ndarray:
+    """Sums of ``weights`` (counts when None) over the samples in each bin of
+    ``shape``, addressed by the multi-index ``index``; shape (H, rest)."""
+    bins = np.ravel_multi_index(index, shape).ravel()
+    sums = np.bincount(bins, weights=None if weights is None else weights.ravel(), minlength=math.prod(shape))
+    return sums.reshape(shape[0], -1)
 
 
 def bonus_tables(game: TabularLinearMG, gram: np.ndarray, beta: float = 1.0) -> np.ndarray:
@@ -157,52 +174,45 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
     gram = gram_matrices(game, dataset)
     unit_bonus = bonus_tables(game, gram, beta=1.0)
     flat = game.features.reshape(-1, d)
+    # per-(h, cell) statistics of the ridge targets: reward sums, next-state counts
+    samples = _samples(dataset)
+    reward_sums = _step_sums(game.reward.shape, samples, dataset.rewards)
+    next_counts = _step_sums(game.transition.shape, (*samples, dataset.next_states))
+    next_counts = next_counts.reshape(h_len, -1, s_count)
 
-    w_lo = np.zeros((h_len, d))
-    w_up = np.zeros((h_len, d))
-    q_lo = np.zeros((h_len, s_count, a1c, a2c))
-    q_up = np.zeros((h_len, s_count, a1c, a2c))
-    v_lo = np.zeros((h_len + 1, s_count))
-    v_up = np.zeros((h_len + 1, s_count))
-    pi_hat = np.zeros((h_len, s_count, a1c))
-    nu_aux = np.zeros((h_len, s_count, a2c))
-    pi_aux = np.zeros((h_len, s_count, a1c))
-    nu_hat = np.zeros((h_len, s_count, a2c))
+    # side 0 is the pessimistic estimate (bonus subtracted), side 1 the optimistic one
+    w = np.zeros((2, h_len, d))
+    q = np.zeros((2, h_len, s_count, a1c, a2c))
+    v = np.zeros((2, h_len + 1, s_count))
+    rows = np.zeros((2, h_len, s_count, a1c))
+    cols = np.zeros((2, h_len, s_count, a2c))
 
     for h in reversed(range(h_len)):
-        phi = game.features[dataset.states[:, h], dataset.actions_p1[:, h], dataset.actions_p2[:, h]]
-        rew = dataset.rewards[:, h]
-        nxt = dataset.next_states[:, h]
-        w_lo[h] = ridge_weights(gram[h], phi, rew + v_lo[h + 1][nxt])
-        w_up[h] = ridge_weights(gram[h], phi, rew + v_up[h + 1][nxt])
-        cap = float(h_len - h)
+        targets = reward_sums[h][:, None] + next_counts[h] @ v[:, h + 1].T  # (cells, 2)
+        w[:, h] = ridge_weights(gram[h], flat.T @ targets).T
         gamma = beta * unit_bonus[h]
-        q_lo[h] = np.clip((flat @ w_lo[h]).reshape(s_count, a1c, a2c) - gamma, 0.0, cap)
-        q_up[h] = np.clip((flat @ w_up[h]).reshape(s_count, a1c, a2c) + gamma, 0.0, cap)
-        for s in range(s_count):
-            sol = solve_zero_sum(q_lo[h, s], tol=config.nash_tol)
-            pi_hat[h, s] = sol.row_strategy
-            nu_aux[h, s] = sol.col_strategy
-            v_lo[h, s] = _bilinear(sol.row_strategy, q_lo[h, s], sol.col_strategy, sol.value)
-            sol = solve_zero_sum(q_up[h, s], tol=config.nash_tol)
-            pi_aux[h, s] = sol.row_strategy
-            nu_hat[h, s] = sol.col_strategy
-            v_up[h, s] = _bilinear(sol.row_strategy, q_up[h, s], sol.col_strategy, sol.value)
+        for side, sign in enumerate((-1.0, 1.0)):
+            estimate = (flat @ w[side, h]).reshape(s_count, a1c, a2c) + sign * gamma
+            q[side, h] = np.clip(estimate, 0.0, h_len - h)
+            for s in range(s_count):
+                sol = solve_zero_sum(q[side, h, s], tol=config.nash_tol)
+                rows[side, h, s], cols[side, h, s] = sol.row_strategy, sol.col_strategy
+                v[side, h, s] = _bilinear(sol.row_strategy, q[side, h, s], sol.col_strategy, sol.value)
 
     return PmviOutput(
         beta=beta,
         gram=gram,
-        weights_lower=w_lo,
-        weights_upper=w_up,
+        weights_lower=w[0],
+        weights_upper=w[1],
         unit_bonus=unit_bonus,
-        q_lower=QTable(q_lo),
-        q_upper=QTable(q_up),
-        v_lower=VTable(v_lo[:h_len]),
-        v_upper=VTable(v_up[:h_len]),
-        policy_max=MarkovPolicy(pi_hat, player=1),
-        policy_min_aux=MarkovPolicy(nu_aux, player=2),
-        policy_max_aux=MarkovPolicy(pi_aux, player=1),
-        policy_min=MarkovPolicy(nu_hat, player=2),
+        q_lower=QTable(q[0]),
+        q_upper=QTable(q[1]),
+        v_lower=VTable(v[0, :h_len]),
+        v_upper=VTable(v[1, :h_len]),
+        policy_max=MarkovPolicy(rows[0], player=1),
+        policy_min_aux=MarkovPolicy(cols[0], player=2),
+        policy_max_aux=MarkovPolicy(rows[1], player=1),
+        policy_min=MarkovPolicy(cols[1], player=2),
     )
 
 

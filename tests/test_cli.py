@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pmvi
-from pmvi.cli import main
+from pmvi import cli
+from pmvi.cli import build_parser, main
 
 RUN_KEYS = {
     "game", "k", "horizon", "dim", "beta", "c", "v_lower", "v_upper", "v_star",
@@ -260,6 +261,38 @@ class TestRateSweep:
         assert summary["mean_sub"] == [0.0, 0.0]
 
 
+    def test_json_game_is_loaded_once(self, capsys, tmp_path, monkeypatch):
+        game_path = tmp_path / "g.json"
+        pmvi.save_game(pmvi.mixed_bandit(), game_path)
+        loads = []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return pmvi.load_game(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_game", counted)
+        code, out, _ = call(
+            capsys, "rate-sweep", "--game", str(game_path), "--k", "20,40",
+            "--seeds", "3", "--beta", "0.5",
+        )
+        assert code == 0 and json.loads(out)["rows"] == 6
+        assert len(loads) == 1
+
+    def test_loaded_game_gives_the_builtin_rows(self, capsys, tmp_path):
+        game_path = tmp_path / "g.json"
+        pmvi.save_game(pmvi.mixed_bandit(), game_path)
+        blobs = []
+        for game, jobs in ((str(game_path), "1"), (str(game_path), "2"), ("bandit-mixed", "1")):
+            out_csv = tmp_path / f"{len(blobs)}.csv"
+            code, _, _ = call(
+                capsys, "rate-sweep", "--game", game, "--k", "20,40",
+                "--seeds", "2", "--beta", "0.5", "--jobs", jobs, "--out", str(out_csv),
+            )
+            assert code == 0
+            blobs.append(out_csv.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+
 class TestLowerBound:
     def test_csv_and_summary(self, capsys, tmp_path):
         out_csv = tmp_path / "lb.csv"
@@ -300,6 +333,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        args = ("run", "--game", "bandit-mixed", "--k", "50", "--seed", "4", "--beta", "0.5")
+        code1, out1, _ = call(capsys, *args)
+        with pytest.raises(SystemExit):
+            main(["run", "--k", "not-a-number"])
+        code2, out2, _ = call(capsys, *args)
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+        assert len(built) == 1
 
     def test_module_entry_point(self):
         # the child must import the package under test, also when only

@@ -24,6 +24,7 @@ from pmvi import (
     well_explored_check,
 )
 from pmvi.cli import main
+from pmvi.uncertainty import _bonus_dp
 from oracles import brute_force_max_total
 
 
@@ -77,6 +78,20 @@ class TestBonusValueDP:
         game = pmvi.three_state_game()
         with pytest.raises(ConfigError, match="tables shape"):
             bonus_value_dp(game, np.zeros((3, 3, 2)), uniform_pair(game)[0])
+
+    @pytest.mark.parametrize(
+        "make_game",
+        [pmvi.three_state_game, pmvi.cyclic_bandit, pmvi.mixed_bandit, lambda: pmvi.build_game(0.4, 0.6)],
+    )
+    def test_value_only_dp_equals_the_public_value(self, make_game):
+        game = make_game()
+        data = collect_behavior(game, *uniform_pair(game), 40, np.random.default_rng(5))
+        unit = pmvi.bonus_tables(game, pmvi.gram_matrices(game, data))
+        nash = pmvi.exact_nash_values(game)
+        for fixed in (nash.policy_max, nash.policy_min, *uniform_pair(game)):
+            value, roaming = bonus_value_dp(game, unit, fixed)
+            assert _bonus_dp(game, unit, fixed)[0] == value
+            assert np.array_equal(roaming.probs.argmax(axis=-1), _bonus_dp(game, unit, fixed)[1])
 
 
 class TestRelativeUncertainty:
@@ -187,6 +202,22 @@ class TestExpectedFeatureOuter:
         p1, p2 = uniform_pair(game)
         with pytest.raises(ConfigError, match="order"):
             expected_feature_outer(game, p2, p1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_equal_to_the_einsum_on_one_hot_features(self, seed):
+        # the per-cell outer products F' diag(joint) F against the direct sum
+        game = pmvi.three_state_game()
+        rng = np.random.default_rng(seed)
+        pol_max = MarkovPolicy(rng.dirichlet(np.ones(2), size=(3, 3)), player=1)
+        pol_min = MarkovPolicy(rng.dirichlet(np.ones(2), size=(3, 3)), player=2)
+        rho = np.zeros(game.n_states)
+        rho[game.initial_state] = 1.0
+        expected = np.zeros((game.horizon, game.dim, game.dim))
+        for h in range(game.horizon):
+            joint = np.einsum("s,sa,sb->sab", rho, pol_max.probs[h], pol_min.probs[h])
+            expected[h] = np.einsum("sab,sabi,sabj->ij", joint, game.features, game.features)
+            rho = np.einsum("sab,sabt->t", joint, game.transition[h])
+        assert np.array_equal(expected_feature_outer(game, pol_max, pol_min), expected)
 
 
 def count_calls(monkeypatch, qualname):

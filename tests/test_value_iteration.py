@@ -93,7 +93,20 @@ class TestGramAndWeights:
         targets = rng.normal(size=30)
         gram = np.eye(6) + phi.T @ phi
         expected = np.linalg.solve(gram, phi.T @ targets)
-        assert np.allclose(ridge_weights(gram, phi, targets), expected, atol=1e-10)
+        assert np.allclose(ridge_weights(gram, phi.T @ targets), expected, atol=1e-10)
+
+    def test_ridge_weights_solve_every_column(self):
+        rng = np.random.default_rng(43)
+        phi = rng.normal(size=(30, 6))
+        targets = rng.normal(size=(30, 2))
+        gram = np.eye(6) + phi.T @ phi
+        both = ridge_weights(gram, phi.T @ targets)
+        assert both.shape == (6, 2)
+        for col in range(2):
+            single = ridge_weights(gram, phi.T @ targets[:, col])
+            assert single.shape == (6,)
+            assert np.allclose(both[:, col], single, atol=1e-12)
+            assert np.allclose(single, np.linalg.solve(gram, phi.T @ targets[:, col]), atol=1e-10)
 
     def test_bonus_matches_explicit_inverse(self):
         game = pmvi.three_state_game()
@@ -123,6 +136,94 @@ class TestGramAndWeights:
         assert bonus[0, 0] == pytest.approx(0.5, abs=1e-12)          # n = 3
         assert bonus[1, 1] == pytest.approx(2.0 ** -0.5, abs=1e-12)  # n = 1
         assert bonus[2, 2] == pytest.approx(1.0, abs=1e-12)          # n = 0
+
+
+def dense_unit_norm_game(seed, n_states=3, n_actions=2, dim=5, horizon=3):
+    """A random linear MG whose features are dense, nonnegative unit vectors.
+
+    Every phi is ``alpha * 1 + beta * v`` with ``v`` a unit vector orthogonal
+    to the all-ones vector, so all features share the coordinate sum
+    ``sigma = alpha * dim``.  Then ``mu_h(s') = q_h(., s') / sigma`` with each
+    ``q_h(i, .)`` a distribution makes ``phi' mu_h`` a distribution, and
+    ``theta_h = u_h / sigma`` with ``u_h`` in [0, 1]^d keeps rewards in [0, 1].
+    """
+    rng = np.random.default_rng(seed)
+    alpha = 0.9 / math.sqrt(dim)
+    beta = math.sqrt(1.0 - alpha**2 * dim)
+    cells = n_states * n_actions * n_actions
+    v = rng.normal(size=(8 * cells, dim))
+    v -= v.mean(axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = v[(alpha + beta * v).min(axis=1) >= 0.0][:cells]  # keep phi >= 0
+    assert v.shape == (cells, dim)
+    features = (alpha + beta * v).reshape(n_states, n_actions, n_actions, dim)
+    sigma = alpha * dim
+    q = rng.dirichlet(np.ones(n_states), size=(horizon, dim))  # (H, d, S)
+    mu = q.transpose(0, 2, 1) / sigma
+    theta = rng.uniform(0.0, 1.0, size=(horizon, dim)) / sigma
+    return pmvi.TabularLinearMG(
+        transition=np.einsum("sabd,htd->hsabt", features, mu),
+        reward=np.einsum("sabd,hd->hsab", features, theta),
+        features=features,
+        theta=theta,
+        mu=mu,
+    )
+
+
+def per_sample_gram(game, data):
+    """The per-sample reference ``I + sum_tau phi phi'``, one step at a time."""
+    gram = np.empty((game.horizon, game.dim, game.dim))
+    for h in range(game.horizon):
+        phi = game.features[data.states[:, h], data.actions_p1[:, h], data.actions_p2[:, h]]
+        gram[h] = np.eye(game.dim) + phi.T @ phi
+    return gram
+
+
+class TestSufficientStatistics:
+    """The backward pass works on per-(h, cell) statistics; these compare it
+    with the per-sample sums it replaces."""
+
+    def test_dense_game_has_unit_norm_features(self):
+        game = dense_unit_norm_game(11)
+        assert np.allclose(np.linalg.norm(game.features, axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert (game.features > 0).all()
+
+    @pytest.mark.parametrize("spec", ["three-state", "hard", "dense"])
+    def test_gram_matches_per_sample_sum(self, spec):
+        # one-hot cells, indicator features shared across cells, dense features
+        game = {
+            "three-state": pmvi.three_state_game,
+            "hard": lambda: pmvi.build_game(0.4, 0.6),
+            "dense": lambda: dense_unit_norm_game(11),
+        }[spec]()
+        data = behavior_data(game, 250, seed=5)
+        expected = per_sample_gram(game, data)
+        assert np.allclose(gram_matrices(game, data), expected, rtol=0, atol=1e-10)
+        if spec == "dense":
+            assert np.abs(expected[0] - np.diag(np.diag(expected[0]))).max() > 1.0
+
+    @pytest.mark.parametrize("spec", ["three-state", "dense"])
+    def test_weights_match_per_sample_ridge_solve(self, spec):
+        game = pmvi.three_state_game() if spec == "three-state" else dense_unit_norm_game(12)
+        data = behavior_data(game, 300, seed=6)
+        out = run_pmvi(game, data, PmviConfig(beta=0.3))
+        gram = per_sample_gram(game, data)
+        v_lo = np.vstack([out.v_lower.values, np.zeros((1, game.n_states))])
+        v_up = np.vstack([out.v_upper.values, np.zeros((1, game.n_states))])
+        for h in range(game.horizon):
+            phi = game.features[data.states[:, h], data.actions_p1[:, h], data.actions_p2[:, h]]
+            for v, got in ((v_lo, out.weights_lower[h]), (v_up, out.weights_upper[h])):
+                targets = data.rewards[:, h] + v[h + 1][data.next_states[:, h]]
+                expected = np.linalg.solve(gram[h], phi.T @ targets)
+                assert np.allclose(got, expected, rtol=0, atol=1e-10)
+
+    def test_empty_dataset_gives_identity_gram(self):
+        game = dense_unit_norm_game(13)
+        data = behavior_data(game, 0, seed=0)
+        assert np.array_equal(gram_matrices(game, data), np.broadcast_to(np.eye(game.dim), (3, 5, 5)))
+        out = run_pmvi(game, data, PmviConfig(beta=0.2))
+        assert np.array_equal(out.gram, gram_matrices(game, data))
+        assert np.all(out.weights_lower == 0.0) and np.all(out.weights_upper == 0.0)
 
 
 class TestBackwardPass:
