@@ -180,7 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(task: tuple) -> dict:
-    game, k, seed, config = task
+    game, nash, k, seed, config = task
     rng = np.random.default_rng(seed)
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     dataset = collect_behavior(game, u1, u2, k, rng)
@@ -189,7 +189,7 @@ def _sweep_row(task: tuple) -> dict:
         "seed": seed,
         "K": k,
         "c": None if config.beta is not None else config.c,
-        **diagnose(game, output, exact_nash_values(game)),
+        **diagnose(game, output, nash),
     }
 
 
@@ -208,7 +208,8 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     lams = [float(x) for x in well_explored_check(game, u1, u2)[1]]
     config = _config_from_args(args)
-    tasks = [(game, k, seed, config) for k in ks for seed in seeds]
+    nash = exact_nash_values(game)  # solved once; every row shares it
+    tasks = [(game, nash, k, seed, config) for k in ks for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))

@@ -61,7 +61,7 @@ class EvaluationReport:
     subb: float
 
 
-def exact_nash_values(game: TabularLinearMG, tol: float = 1e-9) -> NashValues:
+def exact_nash_values(game: TabularLinearMG) -> NashValues:
     """Backward induction with a matrix-game solve per (h, s)."""
     h_len, s_count = game.horizon, game.n_states
     q = np.zeros((h_len, s_count, game.n_actions_p1, game.n_actions_p2))
@@ -71,7 +71,7 @@ def exact_nash_values(game: TabularLinearMG, tol: float = 1e-9) -> NashValues:
     for h in reversed(range(h_len)):
         q[h] = bellman_apply(game, h, v[h + 1])
         for s in range(s_count):
-            sol = solve_zero_sum(q[h, s], tol=tol)
+            sol = solve_zero_sum(q[h, s])
             v[h, s] = sol.value
             pi[h, s] = sol.row_strategy
             nu[h, s] = sol.col_strategy
@@ -102,29 +102,38 @@ def best_response_value(
     For a max-player policy pi this is V^{pi,*} (opponent minimizes); for a
     min-player policy nu it is V^{*,nu} (opponent maximizes).
     """
-    v, action_values = _best_response_dp(game, policy)
     pick = np.argmin if policy.player == 1 else np.argmax
-    br_actions = np.array([pick(avg, axis=1) for avg in action_values])
+    v, actions = _response_dp(game, game.reward, policy, pick)
     br_player = 2 if policy.player == 1 else 1
-    return VTable(v), MarkovPolicy.pure(game, br_player, br_actions)
+    return VTable(v), MarkovPolicy.pure(game, br_player, actions)
 
 
-def _best_response_dp(game: TabularLinearMG, policy: MarkovPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backward DP against a fixed policy: the opponent's best-response values
-    (H, S) and, per step, its (S, n_opponent_actions) action values."""
+def _response_dp(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, pick) -> tuple:
+    """Backward DP against a fixed Markov policy.
+
+    The free player (the opponent of ``fixed``) collects the per-step payoffs
+    ``tables`` (H, S, A1, A2) and at every (h, s) takes the action that
+    ``pick`` (``np.argmax`` or ``np.argmin``; ties go to the smallest index)
+    selects from its payoff-to-go averaged over ``fixed``.  Returns the
+    values (H, S) and the picked actions (H, S); no policy is built.
+    """
     v = np.zeros((game.horizon + 1, game.n_states))
-    action_values = [None] * game.horizon
+    actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
+    states = np.arange(game.n_states)
     for h in reversed(range(game.horizon)):
-        q = bellman_apply(game, h, v[h + 1])
-        if policy.player == 1:
-            # opponent (min) sees the action-b values averaged over pi
-            avg = np.einsum("sa,sab->sb", policy.probs[h], q)
-            v[h] = avg.min(axis=1)
+        stage = tables[h] + game.transition[h] @ v[h + 1]
+        if fixed.player == 1:
+            avg = np.einsum("sa,sab->sb", fixed.probs[h], stage)
         else:
-            avg = np.einsum("sb,sab->sa", policy.probs[h], q)
-            v[h] = avg.max(axis=1)
-        action_values[h] = avg
-    return v[: game.horizon], action_values
+            avg = np.einsum("sb,sab->sa", fixed.probs[h], stage)
+        actions[h] = pick(avg, axis=1)
+        v[h] = avg[states, actions[h]]
+    return v[: game.horizon], actions
+
+
+def _response_value(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, pick) -> float:
+    """The :func:`_response_dp` value from the initial state."""
+    return float(_response_dp(game, tables, fixed, pick)[0][0, game.initial_state])
 
 
 def suboptimality(
@@ -147,8 +156,8 @@ def suboptimality(
             f"{(game.horizon, game.n_states)}"
         )
     v_star = nash.v_star.initial(game)
-    v_min_br = float(_best_response_dp(game, policy_max)[0][0, game.initial_state])
-    v_max_br = float(_best_response_dp(game, policy_min)[0][0, game.initial_state])
+    v_min_br = _response_value(game, game.reward, policy_max, np.argmin)
+    v_max_br = _response_value(game, game.reward, policy_min, np.argmax)
     v_pair = policy_value(game, policy_max, policy_min).initial(game)
     if not (v_min_br <= v_star + _CHAIN_ATOL and v_star <= v_max_br + _CHAIN_ATOL):
         raise InvariantError(
@@ -174,25 +183,22 @@ def bellman_error_tables(game: TabularLinearMG, output: PmviOutput) -> tuple[np.
     ``iota_lower[h] = r_h + P_h V_lower_{h+1} - Q_lower_h`` and the same for
     the upper pair, shapes (H, S, A1, A2).
     """
-    h_len = game.horizon
-    v_lo = np.vstack([output.v_lower.values, np.zeros((1, game.n_states))])
-    v_up = np.vstack([output.v_upper.values, np.zeros((1, game.n_states))])
-    iota_lo = np.empty_like(output.q_lower.values)
-    iota_up = np.empty_like(output.q_upper.values)
-    for h in range(h_len):
-        iota_lo[h] = bellman_apply(game, h, v_lo[h + 1]) - output.q_lower.values[h]
-        iota_up[h] = bellman_apply(game, h, v_up[h + 1]) - output.q_upper.values[h]
-    return iota_lo, iota_up
+    return (
+        _residuals(game, output.q_lower.values, output.v_lower.values),
+        _residuals(game, output.q_upper.values, output.v_upper.values),
+    )
 
 
-def sandwich_holds(
-    iota_lower: np.ndarray,
-    iota_upper: np.ndarray,
-    bonus: np.ndarray,
-    atol: float = 1e-8,
-) -> bool:
+def _residuals(game: TabularLinearMG, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``r_h + P_h v_{h+1} - q_h`` for every h (with ``v_H = 0``), shape (H, S, A1, A2)."""
+    v_ext = np.vstack([v, np.zeros((1, game.n_states))])
+    return np.stack([bellman_apply(game, h, v_ext[h + 1]) - q[h] for h in range(game.horizon)])
+
+
+def sandwich_holds(iota_lower: np.ndarray, iota_upper: np.ndarray, bonus: np.ndarray) -> bool:
     """The two-sided residual event: ``0 <= iota_lower <= 2 Gamma`` and
-    ``0 <= -iota_upper <= 2 Gamma`` everywhere (within ``atol``)."""
+    ``0 <= -iota_upper <= 2 Gamma`` everywhere (within ``_CHAIN_ATOL``)."""
+    atol = _CHAIN_ATOL
     lo_ok = (iota_lower >= -atol).all() and (iota_lower <= 2.0 * bonus + atol).all()
     up_ok = (-iota_upper >= -atol).all() and (-iota_upper <= 2.0 * bonus + atol).all()
     return bool(lo_ok and up_ok)
@@ -249,12 +255,11 @@ def value_difference(
     policy_hat_min: MarkovPolicy,
     policy_max: MarkovPolicy,
     policy_min: MarkovPolicy,
-    atol: float = 1e-8,
 ) -> tuple[float, float, float]:
     """Exact decomposition of ``Vhat_1(x) - V^{pi,nu}_1(x)``.
 
     Requires the consistency ``Vhat_h(s) = pihat_h(s)' Qhat_h(s) nuhat_h(s)``
-    (checked; the decomposition is an identity only under it).  Returns
+    (checked to ``_CHAIN_ATOL``; the decomposition is an identity only under it).  Returns
     ``(advantage_term, residual_term, total)`` where
 
     - advantage: ``sum_h E_{pi,nu}[<Qhat_h(s_h), pihat x nuhat - pi x nu>]``
@@ -268,27 +273,21 @@ def value_difference(
         "hsa,hsab,hsb->hs", policy_hat_max.probs, q_hat.values, policy_hat_min.probs
     )
     worst = np.abs(consistency - v_hat.values).max()
-    if worst > atol:
+    if worst > _CHAIN_ATOL:
         raise InvariantError(
             f"v_hat is not the bilinear form of q_hat under the hat policies "
             f"(worst deviation {worst:.3e})"
         )
-    h_len = game.horizon
-    v_ext = np.vstack([v_hat.values, np.zeros((1, game.n_states))])
-    advantage_tables = np.empty_like(q_hat.values)
-    residual_tables = np.empty_like(q_hat.values)
-    for h in range(h_len):
-        backup = bellman_apply(game, h, v_ext[h + 1])
-        residual_tables[h] = q_hat.values[h] - backup
-        # <Qhat, pihat x nuhat> is a per-state scalar; spread it as a constant
-        # table so the same expectation operator handles both terms.
-        hat_value = np.einsum("sa,sab,sb->s", policy_hat_max.probs[h], q_hat.values[h], policy_hat_min.probs[h])
-        advantage_tables[h] = hat_value[:, None, None] - q_hat.values[h]
+    # <Qhat, pihat x nuhat> is a per-state scalar; spread it as a constant
+    # table so the same expectation operator handles both terms.
+    advantage_tables = consistency[:, :, None, None] - q_hat.values
+    # IEEE subtraction is antisymmetric: these are the exact negated residuals
+    residual_tables = -_residuals(game, q_hat.values, v_hat.values)
     advantage = expected_total(game, policy_max, policy_min, advantage_tables)
     residual = expected_total(game, policy_max, policy_min, residual_tables)
     total = advantage + residual
     expected = v_hat.initial(game) - policy_value(game, policy_max, policy_min).initial(game)
-    if abs(total - expected) > max(atol, 1e-10):
+    if abs(total - expected) > _CHAIN_ATOL:
         raise InvariantError(
             f"value-difference identity violated: {total!r} vs {expected!r}"
         )

@@ -31,6 +31,8 @@ from .errors import ConfigError
 from .evaluation import (
     NashValues,
     _occupancy,
+    _response_dp,
+    _response_value,
     bellman_error_tables,
     exact_nash_values,
     sandwich_holds,
@@ -83,33 +85,15 @@ def bonus_value_dp(
     tables = np.asarray(tables, dtype=np.float64)
     if tables.shape != (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2):
         raise ConfigError(f"tables shape {tables.shape} does not match the game")
-    value, actions = _bonus_dp(game, tables, fixed_policy)
+    values, actions = _response_dp(game, tables, fixed_policy, np.argmax)
     free_player = 2 if fixed_policy.player == 1 else 1
-    return value, MarkovPolicy.pure(game, free_player, actions)
-
-
-def _bonus_dp(game: TabularLinearMG, tables: np.ndarray, fixed_policy: MarkovPolicy) -> tuple:
-    """The DP behind :func:`bonus_value_dp`: the optimum from the initial
-    state and the free player's maximising actions (H, S), no policy built."""
-    w = np.zeros(game.n_states)
-    actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
-    for h in reversed(range(game.horizon)):
-        # payoff of (a, b) at h: current table entry plus continuation
-        stage = tables[h] + np.einsum("sabt,t->sab", game.transition[h], w)
-        if fixed_policy.player == 2:
-            avg = np.einsum("sb,sab->sa", fixed_policy.probs[h], stage)
-        else:
-            avg = np.einsum("sa,sab->sb", fixed_policy.probs[h], stage)
-        actions[h] = np.argmax(avg, axis=1)
-        w = avg[np.arange(game.n_states), actions[h]]
-    return float(w[game.initial_state]), actions
+    return float(values[0, game.initial_state]), MarkovPolicy.pure(game, free_player, actions)
 
 
 def relative_uncertainty(
     game: TabularLinearMG,
     dataset: OfflineDataset,
     ne_pairs: Sequence[tuple[MarkovPolicy, MarkovPolicy]] | None = None,
-    tol: float = 1e-9,
 ) -> RUReport:
     """Relative uncertainty of ``dataset`` for ``game`` at the initial state.
 
@@ -118,7 +102,7 @@ def relative_uncertainty(
     infimum over equilibria, so any finite selection is an upper bound).
     """
     if ne_pairs is None:
-        nash = exact_nash_values(game, tol=tol)
+        nash = exact_nash_values(game)
         ne_pairs = [(nash.policy_max, nash.policy_min)]
     if not ne_pairs:
         raise ConfigError("ne_pairs must contain at least one equilibrium pair")
@@ -136,8 +120,8 @@ def _relative_uncertainty(
     for idx, (pi_star, nu_star) in enumerate(ne_pairs):
         if pi_star.player != 1 or nu_star.player != 2:
             raise ConfigError("each equilibrium pair must be (max-player, min-player)")
-        min_side = _bonus_dp(game, unit, pi_star)[0]
-        max_side = _bonus_dp(game, unit, nu_star)[0]
+        min_side = _response_value(game, unit, pi_star, np.argmax)
+        max_side = _response_value(game, unit, nu_star, np.argmax)
         ru = max(max_side, min_side)
         if best is None or ru < best[0]:
             best = (ru, max_side, min_side, idx)
@@ -150,7 +134,8 @@ def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dic
 
     ``nash`` is the game's :func:`exact_nash_values`.  The bound, the
     sandwich check and RU all reuse ``output.unit_bonus``; nothing is
-    rebuilt from the dataset.
+    rebuilt from the dataset.  ``v_max_br``/``v_min_br`` are the two
+    best-response values behind ``sub``.
     """
     report = suboptimality(game, output.policy_max, output.policy_min, nash=nash)
     iota_lo, iota_up = bellman_error_tables(game, output)
@@ -160,6 +145,8 @@ def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dic
         "v_lower": output.v_lower.initial(game),
         "v_upper": output.v_upper.initial(game),
         "v_star": report.v_star,
+        "v_max_br": report.v_max_br,
+        "v_min_br": report.v_min_br,
         "sub": report.sub,
         "subb": report.subb,
         "bound_rhs": theorem_bound_rhs(game, output, nash),
@@ -201,7 +188,6 @@ def coverage_sufficient_check(
     dataset: OfflineDataset,
     c1: float,
     ne_pair: tuple[MarkovPolicy, MarkovPolicy] | None = None,
-    tol: float = 1e-9,
     limit: int = 10_000,
 ) -> CoverageReport:
     """Check ``Lambda_h >= I + c1 K E_{pair}[phi_h phi_h']`` for every pair
@@ -217,7 +203,7 @@ def coverage_sufficient_check(
     if c1 <= 0:
         raise ConfigError(f"c1 must be positive, got {c1!r}")
     if ne_pair is None:
-        nash = exact_nash_values(game, tol=tol)
+        nash = exact_nash_values(game)
         ne_pair = (nash.policy_max, nash.policy_min)
     pi_star, nu_star = ne_pair
     gram = gram_matrices(game, dataset)

@@ -56,7 +56,6 @@ class PmviConfig:
     beta: float | None = None
     c: float = 1.0
     p: float = 0.1
-    nash_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.beta is not None and self.beta < 0:
@@ -66,8 +65,6 @@ class PmviConfig:
                 raise ConfigError("c must be positive")
             if not 0 < self.p < 1:
                 raise ConfigError("p must lie in (0, 1)")
-        if self.nash_tol <= 0:
-            raise ConfigError("nash_tol must be positive")
 
     def resolve_beta(self, d: int, horizon: int, k: int) -> float:
         if self.beta is not None:
@@ -135,10 +132,10 @@ def gram_matrices(game: TabularLinearMG, dataset: OfflineDataset) -> np.ndarray:
 
 
 def ridge_weights(gram_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram_h w = rhs`` by one Cholesky factorisation (no explicit
-    inverse); ``rhs`` is (d,) or (d, m), and every column shares the factor."""
-    chol = np.linalg.cholesky(gram_h)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    """Solve ``gram_h w = rhs`` with one ``np.linalg.solve`` (one LU
+    factorisation, no explicit inverse); ``rhs`` is (d,) or (d, m), and every
+    column shares the factor."""
+    return np.linalg.solve(gram_h, rhs)
 
 
 def _samples(dataset: OfflineDataset) -> tuple:
@@ -155,14 +152,14 @@ def _step_sums(shape: tuple, index: tuple, weights: np.ndarray | None = None) ->
 
 
 def bonus_tables(game: TabularLinearMG, gram: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """``beta * sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b)."""
-    h_len, s, a1, a2 = game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2
-    flat = game.features.reshape(-1, game.dim)
-    out = np.empty((h_len, s, a1, a2))
-    for h in range(h_len):
-        chol = np.linalg.cholesky(gram[h])
-        z = np.linalg.solve(chol, flat.T)
-        out[h] = beta * np.sqrt((z * z).sum(axis=0)).reshape(s, a1, a2)
+    """``beta * sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b): per step
+    one ``np.linalg.solve`` of ``Lambda_h X = F'`` for all cells at once, then
+    the column sums of ``F' * X``."""
+    flat_t = game.features.reshape(-1, game.dim).T
+    out = np.empty(game.reward.shape)
+    for h in range(game.horizon):
+        quad = (flat_t * np.linalg.solve(gram[h], flat_t)).sum(axis=0)
+        out[h] = beta * np.sqrt(quad).reshape(out.shape[1:])
     return out
 
 
@@ -195,7 +192,7 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
             estimate = (flat @ w[side, h]).reshape(s_count, a1c, a2c) + sign * gamma
             q[side, h] = np.clip(estimate, 0.0, h_len - h)
             for s in range(s_count):
-                sol = solve_zero_sum(q[side, h, s], tol=config.nash_tol)
+                sol = solve_zero_sum(q[side, h, s])
                 rows[side, h, s], cols[side, h, s] = sol.row_strategy, sol.col_strategy
                 v[side, h, s] = _bilinear(sol.row_strategy, q[side, h, s], sol.col_strategy, sol.value)
 

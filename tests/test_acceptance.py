@@ -19,17 +19,15 @@ from pmvi import (
     MarkovPolicy,
     PmviConfig,
     balanced_schedule,
-    bellman_error_tables,
     collect_behavior,
     collect_predetermined,
+    diagnose,
     exact_nash_values,
     relative_uncertainty,
     run_lower_bound_experiment,
     run_pmvi,
-    sandwich_holds,
     solve_zero_sum,
     suboptimality,
-    theorem_bound_rhs,
     well_explored_check,
 )
 from pmvi.cli import main
@@ -47,7 +45,8 @@ def _report(criterion: str, elapsed: float, budget: float | None, detail: str) -
 @pytest.fixture(scope="module")
 def certificate_runs():
     """200 seeded runs on the three-state game at K=2000 with the default
-    (certificate-scale) bonus multiplier; shared by criteria 3 and 4."""
+    (certificate-scale) bonus multiplier; shared by criteria 3 and 4.  Each
+    run is the ``diagnose`` report that ``pmvi run`` prints."""
     game = pmvi.three_state_game()
     nash = exact_nash_values(game)
     u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
@@ -56,23 +55,7 @@ def certificate_runs():
     for seed in range(200):
         data = collect_behavior(game, u1, u2, 2000, np.random.default_rng(seed))
         out = run_pmvi(game, data, PmviConfig())  # c=1, p=0.1
-        iota_lo, iota_up = bellman_error_tables(game, out)
-        ok = sandwich_holds(iota_lo, iota_up, out.bonus)
-        report = suboptimality(game, out.policy_max, out.policy_min)
-        runs.append(
-            {
-                "seed": seed,
-                "sandwich_ok": ok,
-                "beta": out.beta,
-                "v_lower": out.v_lower.initial(game),
-                "v_upper": out.v_upper.initial(game),
-                "report": report,
-                "bound_rhs": theorem_bound_rhs(game, out, nash),
-                "ru": relative_uncertainty(
-                    game, data, ne_pairs=[(nash.policy_max, nash.policy_min)]
-                ).ru,
-            }
-        )
+        runs.append({"seed": seed, **diagnose(game, out, nash)})
     elapsed = time.perf_counter() - t0
     return {"runs": runs, "elapsed": elapsed}
 
@@ -155,16 +138,15 @@ def test_criterion_4_bracketing_and_certificates(certificate_runs):
         if not run["sandwich_ok"]:
             continue
         held += 1
-        report = run["report"]
         chain = (
-            run["v_lower"] <= report.v_min_br + 1e-8
-            and report.v_min_br <= report.v_star + 1e-8
-            and report.v_star <= report.v_max_br + 1e-8
-            and report.v_max_br <= run["v_upper"] + 1e-8
+            run["v_lower"] <= run["v_min_br"] + 1e-8
+            and run["v_min_br"] <= run["v_star"] + 1e-8
+            and run["v_star"] <= run["v_max_br"] + 1e-8
+            and run["v_max_br"] <= run["v_upper"] + 1e-8
         )
         assert chain, f"seed {run['seed']}: value bracketing failed"
-        assert report.sub <= run["bound_rhs"] + 1e-8, f"seed {run['seed']}"
-        assert report.sub <= 4.0 * run["beta"] * run["ru"] + 1e-8, f"seed {run['seed']}"
+        assert run["sub"] <= run["bound_rhs"] + 1e-8, f"seed {run['seed']}"
+        assert run["sub"] <= 4.0 * run["beta"] * run["ru"] + 1e-8, f"seed {run['seed']}"
     assert held > 0
     elapsed = time.perf_counter() - t0
     _report(

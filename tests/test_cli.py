@@ -15,8 +15,8 @@ from pmvi.cli import build_parser, main
 
 RUN_KEYS = {
     "game", "k", "horizon", "dim", "beta", "c", "v_lower", "v_upper", "v_star",
-    "sub", "subb", "bound_rhs", "sandwich_ok", "ru", "ru_max_side", "ru_min_side",
-    "lambda_min",
+    "v_max_br", "v_min_br", "sub", "subb", "bound_rhs", "sandwich_ok", "ru",
+    "ru_max_side", "ru_min_side", "lambda_min",
 }
 
 
@@ -277,6 +277,28 @@ class TestRateSweep:
         )
         assert code == 0 and json.loads(out)["rows"] == 6
         assert len(loads) == 1
+
+    def test_exact_nash_is_solved_once_per_sweep(self, capsys, tmp_path, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return pmvi.exact_nash_values(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_nash_values", counted)
+        blobs = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            code, out, _ = call(
+                capsys, "rate-sweep", "--game", "bandit-mixed", "--k", "20,40",
+                "--seeds", "3", "--beta", "0.5", "--jobs", jobs, "--out", str(out_csv),
+            )
+            assert code == 0 and json.loads(out)["rows"] == 6
+            if jobs == "1":
+                assert len(solves) == 1
+            blobs.append(out_csv.read_bytes())
+        # the shared Nash values reach the worker processes intact
+        assert blobs[0] == blobs[1]
 
     def test_loaded_game_gives_the_builtin_rows(self, capsys, tmp_path):
         game_path = tmp_path / "g.json"

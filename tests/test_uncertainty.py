@@ -24,7 +24,7 @@ from pmvi import (
     well_explored_check,
 )
 from pmvi.cli import main
-from pmvi.uncertainty import _bonus_dp
+from pmvi.evaluation import _response_dp
 from oracles import brute_force_max_total
 
 
@@ -90,8 +90,9 @@ class TestBonusValueDP:
         nash = pmvi.exact_nash_values(game)
         for fixed in (nash.policy_max, nash.policy_min, *uniform_pair(game)):
             value, roaming = bonus_value_dp(game, unit, fixed)
-            assert _bonus_dp(game, unit, fixed)[0] == value
-            assert np.array_equal(roaming.probs.argmax(axis=-1), _bonus_dp(game, unit, fixed)[1])
+            values, actions = _response_dp(game, unit, fixed, np.argmax)
+            assert values[0, game.initial_state] == value
+            assert np.array_equal(roaming.probs.argmax(axis=-1), actions)
 
 
 class TestRelativeUncertainty:
@@ -281,6 +282,8 @@ class TestComputeOnce:
             "v_lower": out.v_lower.initial(game),
             "v_upper": out.v_upper.initial(game),
             "v_star": report.v_star,
+            "v_max_br": report.v_max_br,
+            "v_min_br": report.v_min_br,
             "sub": report.sub,
             "subb": report.subb,
             "bound_rhs": pmvi.theorem_bound_rhs(game, fresh, pmvi.exact_nash_values(game)),

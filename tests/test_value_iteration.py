@@ -70,8 +70,6 @@ class TestBetaSchedule:
             PmviConfig(p=1.5)
         with pytest.raises(ConfigError):
             PmviConfig(c=-2.0)
-        with pytest.raises(ConfigError):
-            PmviConfig(nash_tol=0.0)
         # with beta explicit, c and p are unused and not policed
         PmviConfig(beta=1.0, c=-5.0, p=7.0)
 
@@ -108,8 +106,14 @@ class TestGramAndWeights:
             assert np.allclose(both[:, col], single, atol=1e-12)
             assert np.allclose(single, np.linalg.solve(gram, phi.T @ targets[:, col]), atol=1e-10)
 
-    def test_bonus_matches_explicit_inverse(self):
-        game = pmvi.three_state_game()
+    @pytest.mark.parametrize("spec", ["three-state", "dense", "hard"])
+    def test_bonus_matches_explicit_inverse(self, spec):
+        # diagonal Lambda_h (one-hot), dense Lambda_h, indicator features shared across cells
+        game = {
+            "three-state": pmvi.three_state_game,
+            "dense": lambda: dense_unit_norm_game(11),
+            "hard": lambda: pmvi.build_game(0.4, 0.6),
+        }[spec]()
         data = behavior_data(game, 40, seed=9)
         gram = gram_matrices(game, data)
         got = bonus_tables(game, gram, beta=2.0)
