@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .games import TabularLinearMG, MarkovPolicy
+from .games import MarkovPolicy, TabularLinearMG, _check_policy, _freeze
 
 
 def _int_matrix(value, name: str) -> np.ndarray:
@@ -67,9 +67,7 @@ class OfflineDataset:
             ("states", states), ("actions_p1", a1), ("actions_p2", a2),
             ("rewards", rewards), ("next_states", nxt),
         ):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def k(self) -> int:
@@ -101,31 +99,15 @@ def collect_behavior(
     rng: np.random.Generator,
 ) -> OfflineDataset:
     """Roll out ``k`` episodes under a fixed behavior policy pair."""
-    if policy_p1.player != 1 or policy_p2.player != 2:
-        raise ConfigError("collect_behavior expects a (max-player, min-player) policy pair")
-    _check_policy_shape(game, policy_p1)
-    _check_policy_shape(game, policy_p2)
+    _check_policy(game, policy_p1, 1)
+    _check_policy(game, policy_p2, 2)
     if k < 0:
         raise ConfigError("k must be nonnegative")
-    h_len, s_count = game.horizon, game.n_states
-    states = np.empty((k, h_len), dtype=np.int64)
-    a1 = np.empty((k, h_len), dtype=np.int64)
-    a2 = np.empty((k, h_len), dtype=np.int64)
-    rewards = np.empty((k, h_len), dtype=np.float64)
-    nxt = np.empty((k, h_len), dtype=np.int64)
 
-    cur = np.full(k, game.initial_state, dtype=np.int64)
-    for h in range(h_len):
-        acts1 = _draw_rows(policy_p1.probs[h][cur], rng)
-        acts2 = _draw_rows(policy_p2.probs[h][cur], rng)
-        step_next = _draw_rows(game.transition[h][cur, acts1, acts2], rng)
-        states[:, h] = cur
-        a1[:, h] = acts1
-        a2[:, h] = acts2
-        rewards[:, h] = game.reward[h][cur, acts1, acts2]
-        nxt[:, h] = step_next
-        cur = step_next
-    return OfflineDataset(states, a1, a2, rewards, nxt, provenance="behavior")
+    def act(h: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _draw_rows(policy_p1.probs[h][states], rng), _draw_rows(policy_p2.probs[h][states], rng)
+
+    return _roll_out(game, k, act, rng, "behavior")
 
 
 def collect_predetermined(
@@ -143,31 +125,30 @@ def collect_predetermined(
     if schedule.ndim != 2 or schedule.shape[1] != 2:
         raise ConfigError(f"schedule must have shape (K, 2), got {schedule.shape}")
     k = schedule.shape[0]
-    if k and (
-        schedule[:, 0].min() < 0
-        or schedule[:, 0].max() >= game.n_actions_p1
-        or schedule[:, 1].min() < 0
-        or schedule[:, 1].max() >= game.n_actions_p2
-    ):
+    if not ((schedule >= 0) & (schedule < (game.n_actions_p1, game.n_actions_p2))).all():
         raise ConfigError("schedule contains out-of-range action indices")
-    h_len = game.horizon
-    states = np.empty((k, h_len), dtype=np.int64)
-    a1 = np.zeros((k, h_len), dtype=np.int64)
-    a2 = np.zeros((k, h_len), dtype=np.int64)
-    rewards = np.empty((k, h_len), dtype=np.float64)
-    nxt = np.empty((k, h_len), dtype=np.int64)
-    a1[:, 0] = schedule[:, 0]
-    a2[:, 0] = schedule[:, 1]
+    filler = np.zeros(k, dtype=np.int64)
 
+    def act(h: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (schedule[:, 0], schedule[:, 1]) if h == 0 else (filler, filler)
+
+    return _roll_out(game, k, act, rng, "predetermined")
+
+
+def _roll_out(game: TabularLinearMG, k: int, act, rng: np.random.Generator, provenance: str) -> OfflineDataset:
+    """``k`` episodes from the initial state.  ``act(h, states)`` returns step ``h``'s
+    (max, min) action columns; the next states are drawn after the actions."""
+    shape = (k, game.horizon)
+    states, a1, a2, nxt = (np.empty(shape, dtype=np.int64) for _ in range(4))
+    rewards = np.empty(shape, dtype=np.float64)
     cur = np.full(k, game.initial_state, dtype=np.int64)
-    for h in range(h_len):
-        acts1, acts2 = a1[:, h], a2[:, h]
+    for h in range(game.horizon):
+        acts1, acts2 = act(h, cur)
         step_next = _draw_rows(game.transition[h][cur, acts1, acts2], rng)
-        states[:, h] = cur
+        states[:, h], a1[:, h], a2[:, h], nxt[:, h] = cur, acts1, acts2, step_next
         rewards[:, h] = game.reward[h][cur, acts1, acts2]
-        nxt[:, h] = step_next
         cur = step_next
-    return OfflineDataset(states, a1, a2, rewards, nxt, provenance="predetermined")
+    return OfflineDataset(states, a1, a2, rewards, nxt, provenance=provenance)
 
 
 def balanced_schedule(k: int, n_actions_p1: int, n_actions_p2: int | None = None) -> np.ndarray:
@@ -343,15 +324,6 @@ def _draw_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(probs.shape[0])
     picks = (cum <= u[:, None]).sum(axis=1)
     return np.minimum(picks, probs.shape[1] - 1)
-
-
-def _check_policy_shape(game: TabularLinearMG, policy: MarkovPolicy) -> None:
-    expected = game.n_actions_p1 if policy.player == 1 else game.n_actions_p2
-    if policy.probs.shape != (game.horizon, game.n_states, expected):
-        raise ConfigError(
-            f"policy shape {policy.probs.shape} does not fit game "
-            f"({game.horizon}, {game.n_states}, {expected})"
-        )
 
 
 def check_dataset_bounds(game: TabularLinearMG, dataset: OfflineDataset) -> None:

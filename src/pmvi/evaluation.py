@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, bellman_apply
+from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, _check_policy, bellman_apply
 from .matrix_nash import solve_zero_sum
 from .value_iteration import PmviOutput
 
@@ -85,7 +85,8 @@ def exact_nash_values(game: TabularLinearMG) -> NashValues:
 
 def policy_value(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> VTable:
     """V^{pi,nu}_h(s) for a fixed joint policy, by backward DP."""
-    _expect_players(policy_max, policy_min)
+    _check_policy(game, policy_max, 1)
+    _check_policy(game, policy_min, 2)
     v = np.zeros((game.horizon + 1, game.n_states))
     for h in reversed(range(game.horizon)):
         q = bellman_apply(game, h, v[h + 1])
@@ -117,6 +118,7 @@ def _response_dp(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy,
     selects from its payoff-to-go averaged over ``fixed``.  Returns the
     values (H, S) and the picked actions (H, S); no policy is built.
     """
+    _check_policy(game, fixed, fixed.player)
     v = np.zeros((game.horizon + 1, game.n_states))
     actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
     states = np.arange(game.n_states)
@@ -147,7 +149,8 @@ def suboptimality(
     ``nash`` is the game's :func:`exact_nash_values`; it is computed when
     omitted, so a caller that already holds it saves the solves.
     """
-    _expect_players(policy_max, policy_min)
+    _check_policy(game, policy_max, 1)
+    _check_policy(game, policy_min, 2)
     if nash is None:
         nash = exact_nash_values(game)
     elif nash.v_star.values.shape != (game.horizon, game.n_states):
@@ -222,7 +225,8 @@ def expected_total(
 def _occupancy(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> np.ndarray:
     """Per-step joint distribution of (s_h, a_h, b_h) from the initial state
     under a mixed policy pair, shape (H, S, A1, A2)."""
-    _expect_players(policy_max, policy_min)
+    _check_policy(game, policy_max, 1)
+    _check_policy(game, policy_min, 2)
     out = np.empty((game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2))
     rho = np.zeros(game.n_states)
     rho[game.initial_state] = 1.0
@@ -267,8 +271,8 @@ def value_difference(
 
     and ``total = advantage + residual = Vhat_1(x) - V^{pi,nu}_1(x)``.
     """
-    _expect_players(policy_hat_max, policy_hat_min)
-    _expect_players(policy_max, policy_min)
+    for policy, player in ((policy_hat_max, 1), (policy_hat_min, 2), (policy_max, 1), (policy_min, 2)):
+        _check_policy(game, policy, player)
     consistency = np.einsum(
         "hsa,hsab,hsb->hs", policy_hat_max.probs, q_hat.values, policy_hat_min.probs
     )
@@ -293,7 +297,3 @@ def value_difference(
         )
     return advantage, residual, total
 
-
-def _expect_players(policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> None:
-    if policy_max.player != 1 or policy_min.player != 2:
-        raise ConfigError("expected a (max-player, min-player) policy pair in that order")

@@ -54,8 +54,9 @@ def _float_array(value, name: str) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+def _freeze(arr, dtype=None) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous array; one that already is one is frozen in place."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -88,11 +89,8 @@ class TabularLinearMG:
         if isinstance(self.initial_state, bool) or not isinstance(self.initial_state, (int, np.integer)):
             raise ConfigError(f"initial_state must be an integer, got {self.initial_state!r}")
         object.__setattr__(self, "initial_state", int(self.initial_state))
-        object.__setattr__(self, "transition", _freeze(_float_array(self.transition, "transition")))
-        object.__setattr__(self, "reward", _freeze(_float_array(self.reward, "reward")))
-        object.__setattr__(self, "features", _freeze(_float_array(self.features, "features")))
-        object.__setattr__(self, "theta", _freeze(_float_array(self.theta, "theta")))
-        object.__setattr__(self, "mu", _freeze(_float_array(self.mu, "mu")))
+        for name in ("transition", "reward", "features", "theta", "mu"):
+            object.__setattr__(self, name, _freeze(_float_array(getattr(self, name), name)))
         self._check_shapes()
         self._check_stochasticity()
         self._check_factorization()
@@ -270,6 +268,15 @@ class VTable:
         return float(self.values[0, game.initial_state])
 
 
+def _check_policy(game: TabularLinearMG, policy: MarkovPolicy, player: int) -> None:
+    """``policy`` belongs to ``player`` and has the game's (H, S, A_player) shape."""
+    if policy.player != player:
+        raise ConfigError("expected a (max-player, min-player) policy pair in that order")
+    expected = (game.horizon, game.n_states, game.n_actions_p1 if player == 1 else game.n_actions_p2)
+    if policy.probs.shape != expected:
+        raise ConfigError(f"player {player} policy shape {policy.probs.shape} does not fit the game {expected}")
+
+
 def bellman_apply(game: TabularLinearMG, h: int, v_next: np.ndarray) -> np.ndarray:
     """One-step backup: ``r_h(s,a,b) + sum_s' P_h(s'|s,a,b) v_next(s')``.
 
@@ -423,13 +430,13 @@ def mixed_bandit() -> TabularLinearMG:
     return bandit_game(PAYOFF_MIXED)
 
 
-def three_state_game(seed: int = 90327) -> TabularLinearMG:
+def three_state_game() -> TabularLinearMG:
     """A fixed, fully mixing 3-state / 2x2-action / horizon-3 one-hot game.
 
     Transitions are bounded away from zero so uniform behavior covers every
     (h, s, a, b) cell with high probability.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(90327)
     raw = rng.uniform(0.2, 1.0, size=(3, 3, 2, 2, 3))
     transition = raw / raw.sum(axis=-1, keepdims=True)
     reward = rng.uniform(0.0, 1.0, size=(3, 3, 2, 2))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
+from .games import _freeze
 
 #: Pivot threshold: entries smaller than this are treated as zero.
 _PIVOT_EPS = 1e-11
@@ -42,15 +43,14 @@ class NashSolution:
 
     def __post_init__(self) -> None:
         for name in ("row_strategy", "col_strategy"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
 
 
-def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Maximize ``c.x`` subject to ``a x <= b``, ``x >= 0`` with ``b >= 0``.
 
-    Returns ``(x, duals)``.  Entering variable: lowest index with positive
+    Returns ``(x, duals, basis)``; ``basis`` lists the final basic columns
+    of ``[a | I]``, one per row.  Entering variable: lowest index with positive
     reduced cost; leaving variable: lowest-index basis variable among the
     minimum-ratio rows (Bland's rule, so no cycling).
     """
@@ -98,7 +98,37 @@ def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     x = np.zeros(n + m)
     x[basis] = tableau[:, -1]
     duals = -reduced[n:]
-    return x[:n], duals
+    return x[:n], duals, basis
+
+
+def _basis_solution(a: np.ndarray, basis: list) -> tuple[np.ndarray, np.ndarray]:
+    """Primal ``w`` and duals ``u`` of ``max 1'w s.t. a w <= 1, w >= 0`` solved
+    afresh on the final basis ``B`` of ``[a | I]``: ``B w_B = 1``, ``B' u = c_B``."""
+    m, n = a.shape
+    basic = np.hstack([a, np.eye(m)])[:, basis]
+    w = np.zeros(n + m)
+    try:
+        w[basis] = np.linalg.solve(basic, np.ones(m))
+        duals = np.linalg.solve(basic.T, (np.asarray(basis) < n).astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular final simplex basis: {exc}") from exc
+    return w[:n], duals
+
+
+def _equilibrium(m: np.ndarray, shift: float, w: np.ndarray, duals: np.ndarray) -> NashSolution:
+    """Strategies, value and exploitability from the shifted LP's primal and duals."""
+    col_total = w.sum()
+    if col_total <= 0 or duals.sum() <= 0:
+        raise SolverError("degenerate simplex output: zero strategy mass")
+    # Termination tolerates reduced costs up to the pivot threshold, so the
+    # extracted vectors can carry ~1e-11 of negative dust; scrub it.
+    w = np.where(w > 0.0, w, 0.0)
+    duals = np.where(duals > 0.0, duals, 0.0)
+    y = w / w.sum()
+    x = duals / duals.sum()
+    value = 1.0 / col_total + shift
+    gap = best_pure_response_gap(m, x, y)
+    return NashSolution(row_strategy=x, col_strategy=y, value=value, exploitability=gap)
 
 
 def best_pure_response_gap(matrix, row_strategy, col_strategy) -> float:
@@ -112,9 +142,10 @@ def best_pure_response_gap(matrix, row_strategy, col_strategy) -> float:
 def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     """Equilibrium strategies and value of the zero-sum game ``matrix``.
 
-    Raises :class:`SolverError` if the certified exploitability of the
-    computed pair exceeds ``tol`` (which for well-scaled inputs indicates a
-    bug, not an unlucky instance).
+    The tableau gathers rounding over its pivots: when the pair read from it
+    misses ``tol``, the final basis is solved afresh and certified again.
+    Raises :class:`SolverError` if that pair also exceeds ``tol`` (which for
+    well-scaled inputs indicates a bug, not an unlucky instance).
     """
     try:
         m = np.asarray(matrix, dtype=np.float64)
@@ -124,25 +155,16 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
         raise ConfigError(f"payoff matrix must be 2-d and nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ConfigError("payoff matrix contains non-finite entries")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
 
     shift = m.min() - 1.0
     shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
     rows, cols = shifted.shape
-    w, duals = _simplex_max(shifted, np.ones(rows), np.ones(cols))
-    col_total = w.sum()
-    if col_total <= 0 or duals.sum() <= 0:
-        raise SolverError("degenerate simplex output: zero strategy mass")
-    # Termination tolerates reduced costs up to the pivot threshold, so the
-    # extracted vectors can carry ~1e-11 of negative dust; scrub it.
-    w = np.where(w > 0.0, w, 0.0)
-    duals = np.where(duals > 0.0, duals, 0.0)
-    y = w / w.sum()
-    x = duals / duals.sum()
-    value = 1.0 / col_total + shift
-
-    gap = best_pure_response_gap(m, x, y)
-    if not gap <= tol:
-        raise SolverError(f"equilibrium certificate failed: exploitability {gap:.3e} > tol {tol:.3e}")
-    return NashSolution(row_strategy=x, col_strategy=y, value=value, exploitability=gap)
+    w, duals, basis = _simplex_max(shifted, np.ones(rows), np.ones(cols))
+    sol = _equilibrium(m, shift, w, duals)
+    if not sol.exploitability <= tol:
+        sol = _equilibrium(m, shift, *_basis_solution(shifted, basis))
+    if not sol.exploitability <= tol:
+        raise SolverError(f"equilibrium certificate failed: exploitability {sol.exploitability:.3e} > tol {tol:.3e}")
+    return sol

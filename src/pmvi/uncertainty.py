@@ -7,11 +7,8 @@ opponent roam freely to maximise the accumulated unit bonus
 minimise over equilibrium pairs.  It is a pure function of the dataset
 (through the Gram matrices) and the transition model -- no rewards enter.
 
-Two cruder checks are provided as well: ``coverage_sufficient_check``
-verifies the per-direction domination ``Lambda_h >= I + c1 K E[phi phi']``
-against every deterministic opponent response, and ``well_explored_check``
-looks at the smallest eigenvalue of the behavior pair's expected feature
-outer product.
+A cruder check is provided as well: ``well_explored_check`` looks at the
+smallest eigenvalue of the behavior pair's expected feature outer product.
 
 ``diagnose`` is the one report behind ``pmvi run`` and ``pmvi rate-sweep``:
 gaps, bound, sandwich and RU of one algorithm run, built from the run's own
@@ -20,7 +17,6 @@ unit bonus and one set of exact equilibrium values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +35,7 @@ from .evaluation import (
     suboptimality,
     theorem_bound_rhs,
 )
-from .games import MarkovPolicy, TabularLinearMG
+from .games import MarkovPolicy, TabularLinearMG, _check_policy
 from .value_iteration import PmviOutput, bonus_tables, gram_matrices
 
 
@@ -57,17 +53,6 @@ class RUReport:
     ru_max_side: float
     ru_min_side: float
     ne_index: int
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Result of the uniform-domination coverage check."""
-
-    ok: bool
-    margin: float
-    worst_side: str
-    worst_h: int
-    n_policies_checked: int
 
 
 def bonus_value_dp(
@@ -106,7 +91,7 @@ def relative_uncertainty(
         ne_pairs = [(nash.policy_max, nash.policy_min)]
     if not ne_pairs:
         raise ConfigError("ne_pairs must contain at least one equilibrium pair")
-    unit = bonus_tables(game, gram_matrices(game, dataset), beta=1.0)
+    unit = bonus_tables(game, gram_matrices(game, dataset))
     return _relative_uncertainty(game, unit, ne_pairs)
 
 
@@ -118,8 +103,8 @@ def _relative_uncertainty(
     """RU from a ready unit-bonus table (H, S, A1, A2)."""
     best: tuple[float, float, float, int] | None = None
     for idx, (pi_star, nu_star) in enumerate(ne_pairs):
-        if pi_star.player != 1 or nu_star.player != 2:
-            raise ConfigError("each equilibrium pair must be (max-player, min-player)")
+        _check_policy(game, pi_star, 1)
+        _check_policy(game, nu_star, 2)
         min_side = _response_value(game, unit, pi_star, np.argmax)
         max_side = _response_value(game, unit, nu_star, np.argmax)
         ru = max(max_side, min_side)
@@ -167,69 +152,6 @@ def expected_feature_outer(
     flat = game.features.reshape(-1, game.dim)
     occupancy = _occupancy(game, policy_max, policy_min)
     return np.stack([flat.T @ (joint.reshape(-1, 1) * flat) for joint in occupancy])
-
-
-def _deterministic_policies(game: TabularLinearMG, player: int, limit: int):
-    n_actions = game.n_actions_p1 if player == 1 else game.n_actions_p2
-    cells = game.horizon * game.n_states
-    total = n_actions**cells
-    if total > limit:
-        raise ConfigError(
-            f"coverage check needs {total} deterministic policies "
-            f"(> limit {limit}); use a smaller game or raise limit"
-        )
-    for combo in itertools.product(range(n_actions), repeat=cells):
-        actions = np.asarray(combo, dtype=np.int64).reshape(game.horizon, game.n_states)
-        yield MarkovPolicy.pure(game, player, actions)
-
-
-def coverage_sufficient_check(
-    game: TabularLinearMG,
-    dataset: OfflineDataset,
-    c1: float,
-    ne_pair: tuple[MarkovPolicy, MarkovPolicy] | None = None,
-    limit: int = 10_000,
-) -> CoverageReport:
-    """Check ``Lambda_h >= I + c1 K E_{pair}[phi_h phi_h']`` for every pair
-    that fixes one player at equilibrium and lets the other respond.
-
-    Only deterministic responses are enumerated: the expected outer product
-    is multilinear in the free player's per-(h, s) action distributions, so
-    the feasible set is contained in the convex hull of the deterministic
-    ones, and the smallest eigenvalue of an affine matrix map is concave --
-    the minimum over the hull is attained at a vertex.  ``margin`` is the
-    worst smallest-eigenvalue slack; ``ok`` means it is >= -1e-9.
-    """
-    if c1 <= 0:
-        raise ConfigError(f"c1 must be positive, got {c1!r}")
-    if ne_pair is None:
-        nash = exact_nash_values(game)
-        ne_pair = (nash.policy_max, nash.policy_min)
-    pi_star, nu_star = ne_pair
-    gram = gram_matrices(game, dataset)
-    eye = np.eye(game.dim)
-    scale = c1 * dataset.k
-    margin = np.inf
-    worst_side, worst_h = "max", 0
-    n_checked = 0
-    for side, fixed in (("min", pi_star), ("max", nu_star)):
-        free_player = 2 if side == "min" else 1
-        for free in _deterministic_policies(game, free_player, limit):
-            pair = (fixed, free) if free_player == 2 else (free, fixed)
-            outer = expected_feature_outer(game, pair[0], pair[1])
-            n_checked += 1
-            for h in range(game.horizon):
-                gap = gram[h] - eye - scale * outer[h]
-                lam = float(np.linalg.eigvalsh(gap)[0])
-                if lam < margin:
-                    margin, worst_side, worst_h = lam, side, h
-    return CoverageReport(
-        ok=bool(margin >= -1e-9),
-        margin=margin,
-        worst_side=worst_side,
-        worst_h=worst_h,
-        n_policies_checked=n_checked,
-    )
 
 
 def well_explored_check(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import OfflineDataset, check_dataset_bounds
 from .errors import ConfigError, InvariantError
-from .games import MarkovPolicy, QTable, TabularLinearMG, VTable
+from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, _freeze
 from .matrix_nash import solve_zero_sum
 
 #: Ridge regularizer of the least-squares step.  The confidence-bonus
@@ -58,11 +58,11 @@ class PmviConfig:
     p: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.beta is not None and self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
+        if self.beta is not None and not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if self.beta is None:
-            if self.c <= 0:
-                raise ConfigError("c must be positive")
+            if not 0 < self.c < math.inf:
+                raise ConfigError(f"c must be positive and finite, got {self.c!r}")
             if not 0 < self.p < 1:
                 raise ConfigError("p must lie in (0, 1)")
 
@@ -82,7 +82,10 @@ def default_beta(d: int, horizon: int, k: int, p: float, c: float = 1.0) -> floa
         raise ConfigError("p must lie in (0, 1)")
     if c <= 0:
         raise ConfigError("c must be positive")
-    return c * d * horizon * math.sqrt(math.log(2.0 * d * k * horizon / p))
+    beta = c * d * horizon * math.sqrt(math.log(2.0 * d * k * horizon / p))
+    if not math.isfinite(beta):
+        raise ConfigError(f"the default beta c * d * H * sqrt(log(2dKH/p)) is not finite at c={c!r}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,7 @@ class PmviOutput:
 
     def __post_init__(self) -> None:
         for name in ("gram", "weights_lower", "weights_upper", "unit_bonus"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
 
     @property
     def bonus(self) -> np.ndarray:
@@ -151,15 +152,15 @@ def _step_sums(shape: tuple, index: tuple, weights: np.ndarray | None = None) ->
     return sums.reshape(shape[0], -1)
 
 
-def bonus_tables(game: TabularLinearMG, gram: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """``beta * sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b): per step
-    one ``np.linalg.solve`` of ``Lambda_h X = F'`` for all cells at once, then
-    the column sums of ``F' * X``."""
+def bonus_tables(game: TabularLinearMG, gram: np.ndarray) -> np.ndarray:
+    """The unit bonus ``sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b):
+    per step one ``np.linalg.solve`` of ``Lambda_h X = F'`` for all cells at
+    once, then the column sums of ``F' * X``."""
     flat_t = game.features.reshape(-1, game.dim).T
     out = np.empty(game.reward.shape)
     for h in range(game.horizon):
         quad = (flat_t * np.linalg.solve(gram[h], flat_t)).sum(axis=0)
-        out[h] = beta * np.sqrt(quad).reshape(out.shape[1:])
+        out[h] = np.sqrt(quad).reshape(out.shape[1:])
     return out
 
 
@@ -169,7 +170,7 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
     a1c, a2c, d = game.n_actions_p1, game.n_actions_p2, game.dim
     beta = config.resolve_beta(d, h_len, dataset.k)
     gram = gram_matrices(game, dataset)
-    unit_bonus = bonus_tables(game, gram, beta=1.0)
+    unit_bonus = bonus_tables(game, gram)
     flat = game.features.reshape(-1, d)
     # per-(h, cell) statistics of the ridge targets: reward sums, next-state counts
     samples = _samples(dataset)

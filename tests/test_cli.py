@@ -67,6 +67,11 @@ class TestSolveMatrix:
         code, _, err = call(capsys, "solve-matrix", "--matrix", payload)
         assert code == 2 and "payoff matrix" in err
 
+    def test_nan_tol_is_exit_2_naming_the_flag(self, capsys):
+        code, out, err = call(capsys, "solve-matrix", "--matrix", "[[0,1],[1,0]]", "--tol", "nan")
+        assert code == 2 and out == ""
+        assert "tol must be positive" in err
+
 
 class TestGenerateData:
     def test_writes_loadable_dataset(self, capsys, tmp_path):
@@ -169,6 +174,21 @@ class TestRun:
         code, out, err = call(capsys, "run", "--game", str(path), "--k", "10")
         assert code == 2 and out == ""
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--beta", "nan", "beta must be finite"),
+            ("--beta", "inf", "beta must be finite"),
+            ("--c", "nan", "c must be positive and finite"),
+            ("--c", "inf", "c must be positive and finite"),
+            ("--c", "1e308", "is not finite at c=1e+308"),  # c is finite, the default beta is not
+        ],
+    )
+    def test_non_finite_beta_or_c_is_exit_2_naming_the_flag(self, capsys, flag, value, named):
+        code, out, err = call(capsys, "run", "--game", "three-state", "--k", "50", flag, value)
+        assert code == 2 and out == ""
+        assert named in err
 
     def test_cross_game_dataset_is_detected(self, capsys, tmp_path):
         data_path = tmp_path / "cyclic.jsonl"

@@ -13,10 +13,12 @@ from pmvi import (
     PmviConfig,
     best_response_value,
     bellman_error_tables,
+    bonus_value_dp,
     collect_behavior,
     exact_nash_values,
     expected_total,
     policy_value,
+    relative_uncertainty,
     run_pmvi,
     sandwich_holds,
     suboptimality,
@@ -281,3 +283,32 @@ def test_oracle_arithmetic_is_rational():
     pol_min = MarkovPolicy(np.full((1, 1, 3), 1 / 3), player=2)
     value = trajectory_policy_value(game, pol_max, pol_min)
     assert isinstance(value, Fraction)
+
+
+@pytest.mark.parametrize("defect", ["one-step-too-many", "single-state", "extra-action"])
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        "policy_value", "suboptimality", "best_response_value",
+        "expected_total", "relative_uncertainty", "bonus_value_dp",
+    ],
+)
+def test_every_policy_argument_must_fit_the_game(call, player, defect):
+    game = pmvi.three_state_game()
+    h, s, a = game.horizon, game.n_states, (game.n_actions_p1, game.n_actions_p2)[player - 1]
+    shape = {"one-step-too-many": (h + 1, s, a), "single-state": (h, 1, a), "extra-action": (h, s, a + 1)}[defect]
+    pair = [MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)]
+    data = collect_behavior(game, *pair, 5, np.random.default_rng(0))
+    bad = pair[player - 1] = MarkovPolicy(np.full(shape, 1.0 / shape[2]), player)
+    tables = np.ones(game.reward.shape)
+    calls = {
+        "policy_value": lambda: policy_value(game, *pair),
+        "suboptimality": lambda: suboptimality(game, *pair),
+        "best_response_value": lambda: best_response_value(game, bad),
+        "expected_total": lambda: expected_total(game, *pair, tables),
+        "relative_uncertainty": lambda: relative_uncertainty(game, data, ne_pairs=[tuple(pair)]),
+        "bonus_value_dp": lambda: bonus_value_dp(game, tables, bad),
+    }
+    with pytest.raises(ConfigError, match=rf"player {player} policy shape .* does not fit the game"):
+        calls[call]()

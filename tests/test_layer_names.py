@@ -1,11 +1,19 @@
-"""The benchmark's tracer patches pmvi functions by name; every name it lists
-must exist, so a refactor that drops one fails here, not in the benchmark."""
+"""Names that live outside the package must resolve in it.
+
+The benchmark's tracer patches pmvi functions by name, and README's "Key
+entry points" table documents public names; a refactor that drops one fails
+here, not in the benchmark or in a reader's hands."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pmvi
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def layer_functions() -> tuple:
@@ -28,3 +36,23 @@ def test_every_traced_layer_resolves_to_a_pmvi_callable():
         if not callable(getattr(module, attr, None)):
             missing.append(qualname)
     assert missing == []
+
+
+def readme_entry_points() -> list:
+    """Every backticked name in the first column of README's "Key entry points" table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("Key entry points:")
+    rows = []
+    for line in lines[start + 1 :]:
+        if rows and not line.startswith("|"):
+            break
+        if line.startswith("|"):
+            rows.append(line)
+    cells = [row.split("|")[1] for row in rows[2:]]  # skip the header and the rule
+    return [name for cell in cells for name in re.findall(r"`([A-Za-z_]\w*)`", cell)]
+
+
+def test_every_readme_entry_point_resolves_in_pmvi():
+    names = readme_entry_points()
+    assert len(names) >= 20
+    assert [name for name in names if name not in pmvi.__all__ or not hasattr(pmvi, name)] == []

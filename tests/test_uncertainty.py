@@ -1,4 +1,4 @@
-"""Dataset-quality diagnostics: bonus DP, relative uncertainty, coverage,
+"""Dataset-quality diagnostics: bonus DP, relative uncertainty, exploration,
 the shared run report and what it computes only once."""
 
 import dataclasses
@@ -18,7 +18,6 @@ from pmvi import (
     bonus_value_dp,
     collect_behavior,
     collect_predetermined,
-    coverage_sufficient_check,
     expected_feature_outer,
     relative_uncertainty,
     well_explored_check,
@@ -141,30 +140,6 @@ class TestRelativeUncertainty:
         p1, p2 = uniform_pair(game)
         with pytest.raises(ConfigError, match="max-player, min-player"):
             relative_uncertainty(game, data, ne_pairs=[(p2, p1)])
-
-
-class TestCoverage:
-    def test_uniform_bandit_margins(self):
-        n = 6
-        game, data = uniform_bandit_data(n)
-        good = coverage_sufficient_check(game, data, c1=1.0 / 9.0)
-        assert good.ok
-        assert good.margin == pytest.approx(2.0 * n / 3.0, abs=1e-9)
-        assert good.n_policies_checked == 6
-        bad = coverage_sufficient_check(game, data, c1=1.0)
-        assert not bad.ok
-        assert bad.margin == pytest.approx(-2.0 * n, abs=1e-9)
-
-    def test_limit_guard(self):
-        game = pmvi.three_state_game()
-        data = collect_behavior(game, *uniform_pair(game), 10, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="limit"):
-            coverage_sufficient_check(game, data, c1=0.1, limit=100)
-
-    def test_c1_must_be_positive(self):
-        game, data = uniform_bandit_data(1)
-        with pytest.raises(ConfigError, match="c1"):
-            coverage_sufficient_check(game, data, c1=0.0)
 
 
 class TestWellExplored:

@@ -116,7 +116,7 @@ class TestGramAndWeights:
         }[spec]()
         data = behavior_data(game, 40, seed=9)
         gram = gram_matrices(game, data)
-        got = bonus_tables(game, gram, beta=2.0)
+        got = 2.0 * bonus_tables(game, gram)
         for h in range(game.horizon):
             inv = np.linalg.inv(gram[h])
             expected = 2.0 * np.sqrt(
@@ -136,7 +136,7 @@ class TestGramAndWeights:
         game = pmvi.cyclic_bandit()
         schedule = np.array([[0, 0], [0, 0], [0, 0], [1, 1]])
         data = collect_predetermined(game, schedule, np.random.default_rng(0))
-        bonus = bonus_tables(game, gram_matrices(game, data), beta=1.0)[0, 0]
+        bonus = bonus_tables(game, gram_matrices(game, data))[0, 0]
         assert bonus[0, 0] == pytest.approx(0.5, abs=1e-12)          # n = 3
         assert bonus[1, 1] == pytest.approx(2.0 ** -0.5, abs=1e-12)  # n = 1
         assert bonus[2, 2] == pytest.approx(1.0, abs=1e-12)          # n = 0
