@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import balanced_schedule, collect_behavior, load_dataset, save_dataset, validate_dataset
+from .data import OfflineDataset, balanced_schedule, collect_behavior, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, InvariantError
 from .evaluation import exact_nash_values
 from .games import (
@@ -83,13 +83,15 @@ def _load_game_spec(spec: str) -> TabularLinearMG:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Either a count (``200`` means seeds 0..199) or an explicit list ``3,7,11``."""
+    """Either a count (``200`` means seeds 0..199) or an explicit list ``3,7,11``;
+    at least one seed."""
     try:
-        if "," in spec:
-            return [int(part) for part in spec.split(",")]
-        return list(range(int(spec)))
+        seeds = [int(part) for part in spec.split(",")] if "," in spec else list(range(int(spec)))
     except ValueError as exc:
         raise ConfigError(f"bad seed spec {spec!r}: {exc}") from exc
+    if not seeds:
+        raise ConfigError(f"seed spec {spec!r} gives no seeds; need at least one")
+    return seeds
 
 
 def _parse_k_list(spec: str) -> list[int]:
@@ -103,9 +105,19 @@ def _parse_k_list(spec: str) -> list[int]:
 
 
 def _config_from_args(args: argparse.Namespace) -> PmviConfig:
-    if args.beta is not None:
-        return PmviConfig(beta=args.beta)
-    return PmviConfig(beta=None, c=args.c, p=args.p)
+    return PmviConfig(beta=args.beta, c=args.c, p=args.p)
+
+
+def _collect_uniform(game: TabularLinearMG, k: int, seed: int) -> OfflineDataset:
+    """``k`` trajectories under the uniform behavior pair, drawn from ``seed``."""
+    uniform = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
+    return collect_behavior(game, *uniform, k, np.random.default_rng(seed))
+
+
+def _uniform_lambda_min(game: TabularLinearMG) -> list[float]:
+    """Per-step smallest eigenvalue of ``E[phi phi']`` under the uniform behavior pair."""
+    uniform = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
+    return well_explored_check(game, *uniform)[1].tolist()
 
 
 def _fmt(value) -> str:
@@ -133,10 +145,7 @@ def _print_json(doc: dict) -> None:
 
 
 def _cmd_generate_data(args: argparse.Namespace) -> int:
-    game = _load_game_spec(args.game)
-    rng = np.random.default_rng(args.seed)
-    uniform = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-    dataset = collect_behavior(game, uniform[0], uniform[1], args.k, rng)
+    dataset = _collect_uniform(_load_game_spec(args.game), args.k, args.seed)
     save_dataset(dataset, args.out, seed=args.seed)
     _print_json({"out": args.out, "k": dataset.k, "horizon": dataset.horizon, "seed": args.seed})
     return 0
@@ -147,6 +156,7 @@ def _cmd_generate_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     game = _load_game_spec(args.game)
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
@@ -155,11 +165,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         if args.k is None:
             raise ConfigError("run needs either --dataset or --k")
-        rng = np.random.default_rng(args.seed)
-        u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-        dataset = collect_behavior(game, u1, u2, args.k, rng)
-        lams = well_explored_check(game, u1, u2)[1].tolist()
-    output = run_pmvi(game, dataset, _config_from_args(args))
+        dataset = _collect_uniform(game, args.k, args.seed)
+        lams = _uniform_lambda_min(game)
+    output = run_pmvi(game, dataset, config)
     doc = {
         "game": args.game,
         "k": dataset.k,
@@ -181,10 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _sweep_row(task: tuple) -> dict:
     game, nash, k, seed, config = task
-    rng = np.random.default_rng(seed)
-    u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-    dataset = collect_behavior(game, u1, u2, k, rng)
-    output = run_pmvi(game, dataset, config)
+    output = run_pmvi(game, _collect_uniform(game, k, seed), config)
     return {
         "seed": seed,
         "K": k,
@@ -194,20 +199,16 @@ def _sweep_row(task: tuple) -> dict:
 
 
 def _cmd_rate_sweep(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     ks = _parse_k_list(args.k)
     distinct = sorted(set(ks))
     if len(distinct) < 2:
         raise ConfigError("rate-sweep needs at least two distinct dataset sizes to fit a rate")
     seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     game = _load_game_spec(args.game)  # loaded once; every row gets this game
-    # every row collects under the same uniform pair on the same game
-    u1, u2 = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-    lams = [float(x) for x in well_explored_check(game, u1, u2)[1]]
-    config = _config_from_args(args)
+    lams = _uniform_lambda_min(game)  # every row collects under the uniform pair
     nash = exact_nash_values(game)  # solved once; every row shares it
     tasks = [(game, nash, k, seed, config) for k in ks for seed in seeds]
     if args.jobs > 1:
@@ -249,8 +250,6 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
     schedule = balanced_schedule(args.k, args.actions, args.actions)
     config = _config_from_args(args)
 

@@ -26,9 +26,10 @@ from .games import MarkovPolicy, TabularLinearMG, _check_policy, _freeze
 
 
 def _int_matrix(value, name: str) -> np.ndarray:
-    """``value`` as an int64 matrix.  Floats, bools and objects are rejected
-    rather than truncated; an empty array may have any dtype."""
-    arr = np.asarray(value)
+    """``value`` as a new int64 matrix; a caller's array is copied, never shared.
+    Floats, bools and objects are rejected rather than truncated; an empty
+    array may have any dtype."""
+    arr = np.array(value)
     if arr.size and arr.dtype.kind not in "iu":
         raise ConfigError(f"{name} must hold integers, got dtype {arr.dtype}")
     arr = arr.astype(np.int64, copy=False)
@@ -53,7 +54,7 @@ class OfflineDataset:
         a1 = _int_matrix(self.actions_p1, "actions_p1")
         a2 = _int_matrix(self.actions_p2, "actions_p2")
         nxt = _int_matrix(self.next_states, "next_states")
-        rewards = np.asarray(self.rewards, dtype=np.float64)
+        rewards = np.array(self.rewards, dtype=np.float64)
         shape = states.shape
         for name, arr in (("actions_p1", a1), ("actions_p2", a2), ("rewards", rewards), ("next_states", nxt)):
             if arr.shape != shape:
@@ -263,6 +264,7 @@ def load_dataset(path) -> OfflineDataset:
         raise ConfigError(f"malformed trajectory record in {path}: missing key {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"malformed trajectory record in {path}: {exc}") from exc
+    del records, trajectories, step_lists, steps  # freed before the dataset copies the columns
     try:
         return OfflineDataset(*columns, provenance=provenance)
     except ConfigError as exc:

@@ -4,7 +4,7 @@ Everything here is exact dynamic programming on the tabular model -- no
 sampling.  The conventions:
 
 - ``exact_nash_values``: backward induction where each stage matrix is solved
-  as a zero-sum game; gives V*, Q* and one equilibrium policy pair.
+  as a zero-sum game; gives V* and one equilibrium policy pair.
 - ``best_response_value``: value of a fixed Markov policy against the
   opponent's exact best response (which may be taken pure).
 - ``suboptimality``: the duality-gap performance measure of a policy pair
@@ -37,7 +37,6 @@ class NashValues:
     """Exact equilibrium values of a game plus one equilibrium policy pair."""
 
     v_star: VTable
-    q_star: QTable
     policy_max: MarkovPolicy
     policy_min: MarkovPolicy
 
@@ -64,20 +63,18 @@ class EvaluationReport:
 def exact_nash_values(game: TabularLinearMG) -> NashValues:
     """Backward induction with a matrix-game solve per (h, s)."""
     h_len, s_count = game.horizon, game.n_states
-    q = np.zeros((h_len, s_count, game.n_actions_p1, game.n_actions_p2))
     v = np.zeros((h_len + 1, s_count))
     pi = np.zeros((h_len, s_count, game.n_actions_p1))
     nu = np.zeros((h_len, s_count, game.n_actions_p2))
     for h in reversed(range(h_len)):
-        q[h] = bellman_apply(game, h, v[h + 1])
+        q = bellman_apply(game, h, v[h + 1])
         for s in range(s_count):
-            sol = solve_zero_sum(q[h, s])
+            sol = solve_zero_sum(q[s])
             v[h, s] = sol.value
             pi[h, s] = sol.row_strategy
             nu[h, s] = sol.col_strategy
     return NashValues(
         v_star=VTable(v[:h_len]),
-        q_star=QTable(q),
         policy_max=MarkovPolicy(pi, player=1),
         policy_min=MarkovPolicy(nu, player=2),
     )
@@ -215,11 +212,17 @@ def expected_total(
 ) -> float:
     """``E[sum_h f_h(s_h, a_h, b_h)]`` from the initial state under a joint
     mixed policy pair, for arbitrary per-step tables f of shape (H,S,A1,A2)."""
+    tables = _check_tables(game, tables)
+    occupancy = _occupancy(game, policy_max, policy_min)
+    return sum(float((joint * table).sum()) for joint, table in zip(occupancy, tables))
+
+
+def _check_tables(game: TabularLinearMG, tables) -> np.ndarray:
+    """``tables`` as a float array of the game's (H, S, A1, A2) shape."""
     tables = np.asarray(tables, dtype=np.float64)
     if tables.shape != (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2):
         raise ConfigError(f"tables shape {tables.shape} does not match the game")
-    occupancy = _occupancy(game, policy_max, policy_min)
-    return sum(float((joint * table).sum()) for joint, table in zip(occupancy, tables))
+    return tables
 
 
 def _occupancy(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> np.ndarray:

@@ -45,8 +45,9 @@ class RegularityWarning(UserWarning):
 
 
 def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a new finite float64 array; a caller's array is copied, never shared."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.array(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a rectangular numeric array: {exc}") from exc
     if not np.all(np.isfinite(arr)):
@@ -206,18 +207,6 @@ class MarkovPolicy:
             raise InvariantError(f"policy rows must sum to 1 (worst deviation {worst:.3e})")
         object.__setattr__(self, "probs", _freeze(probs))
 
-    @property
-    def horizon(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def n_actions(self) -> int:
-        return self.probs.shape[2]
-
     @classmethod
     def uniform(cls, game: TabularLinearMG, player: int) -> "MarkovPolicy":
         n_actions = game.n_actions_p1 if player == 1 else game.n_actions_p2
@@ -343,7 +332,7 @@ def game_to_dict(game: TabularLinearMG) -> dict:
     return doc
 
 
-def game_from_dict(doc: dict, validation: str = "strict") -> TabularLinearMG:
+def game_from_dict(doc: dict) -> TabularLinearMG:
     try:
         states = doc["states"]
         labels = tuple(states) if isinstance(states, list) else None
@@ -362,25 +351,22 @@ def game_from_dict(doc: dict, validation: str = "strict") -> TabularLinearMG:
             mu=doc["mu"],
             initial_state=initial_state,
             state_labels=labels,
-            validation=validation,
         )
     if linear_keys:
         raise ConfigError("features/theta/mu must be given together or omitted together")
-    return one_hot_featurize(
-        transition, reward, initial_state=initial_state, state_labels=labels, validation=validation
-    )
+    return one_hot_featurize(transition, reward, initial_state=initial_state, state_labels=labels)
 
 
 def save_game(game: TabularLinearMG, path) -> None:
     Path(path).write_text(json.dumps(game_to_dict(game)) + "\n")
 
 
-def load_game(path, validation: str = "strict") -> TabularLinearMG:
+def load_game(path) -> TabularLinearMG:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read game file {path}: {exc}") from exc
-    return game_from_dict(doc, validation=validation)
+    return game_from_dict(doc)
 
 
 # -- built-in games -------------------------------------------------------------

@@ -109,7 +109,6 @@ def build_game(p1: float, p2: float, n_actions: int = 3, horizon: int = 3) -> Ta
         mu=mu,
         initial_state=0,
         state_labels=("start", "win", "loss"),
-        validation="strict",
     )
 
 
@@ -224,7 +223,6 @@ def run_lower_bound_experiment(
         ("two", pair.game_two, 1),
     ):
         nash = exact_nash_values(game)
-        ne_pairs = [(nash.policy_max, nash.policy_min)]
         for seed in seeds:
             rng = np.random.default_rng(seed)
             dataset = collect_predetermined(game, schedule, rng)
@@ -242,7 +240,7 @@ def run_lower_bound_experiment(
                     f"closed-form gap {predicted!r} disagrees with measured "
                     f"{report.subb!r} (game {game_id}, seed {seed})"
                 )
-            ru = relative_uncertainty(game, dataset, ne_pairs=ne_pairs)
+            ru = relative_uncertainty(game, dataset, nash)
             rows.append(
                 {
                     "game": game_id,

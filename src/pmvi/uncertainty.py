@@ -3,9 +3,11 @@
 The central quantity is the *relative uncertainty* of a dataset at the
 initial state: fix one player to an exact equilibrium policy, let the
 opponent roam freely to maximise the accumulated unit bonus
-``sqrt(phi' Lambda_h^-1 phi)``, take the larger of the two sides, and
-minimise over equilibrium pairs.  It is a pure function of the dataset
-(through the Gram matrices) and the transition model -- no rewards enter.
+``sqrt(phi' Lambda_h^-1 phi)`` and take the larger of the two sides.  The
+measure is an infimum over equilibrium pairs; the one pair that
+``exact_nash_values`` returns gives an upper bound on it.  It is a pure
+function of the dataset (through the Gram matrices) and the transition
+model -- no rewards enter.
 
 A cruder check is provided as well: ``well_explored_check`` looks at the
 smallest eigenvalue of the behavior pair's expected feature outer product.
@@ -18,14 +20,13 @@ unit bonus and one set of exact equilibrium values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .data import OfflineDataset
-from .errors import ConfigError
 from .evaluation import (
     NashValues,
+    _check_tables,
     _occupancy,
     _response_dp,
     _response_value,
@@ -43,8 +44,7 @@ from .value_iteration import PmviOutput, bonus_tables, gram_matrices
 class RUReport:
     """Relative uncertainty of a dataset at the initial state.
 
-    ``ru = max(ru_max_side, ru_min_side)`` for the equilibrium pair attaining
-    the smallest such max (index ``ne_index`` into the pairs that were tried).
+    ``ru = max(ru_max_side, ru_min_side)`` for one equilibrium pair.
     ``ru_max_side`` lets the max player roam against the fixed equilibrium
     min policy; ``ru_min_side`` is the mirror image.
     """
@@ -52,7 +52,6 @@ class RUReport:
     ru: float
     ru_max_side: float
     ru_min_side: float
-    ne_index: int
 
 
 def bonus_value_dp(
@@ -67,10 +66,7 @@ def bonus_value_dp(
     the smallest index.  Returns the optimum from the initial state and a
     pure maximising policy.
     """
-    tables = np.asarray(tables, dtype=np.float64)
-    if tables.shape != (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2):
-        raise ConfigError(f"tables shape {tables.shape} does not match the game")
-    values, actions = _response_dp(game, tables, fixed_policy, np.argmax)
+    values, actions = _response_dp(game, _check_tables(game, tables), fixed_policy, np.argmax)
     free_player = 2 if fixed_policy.player == 1 else 1
     return float(values[0, game.initial_state]), MarkovPolicy.pure(game, free_player, actions)
 
@@ -78,40 +74,27 @@ def bonus_value_dp(
 def relative_uncertainty(
     game: TabularLinearMG,
     dataset: OfflineDataset,
-    ne_pairs: Sequence[tuple[MarkovPolicy, MarkovPolicy]] | None = None,
+    nash: NashValues | None = None,
 ) -> RUReport:
     """Relative uncertainty of ``dataset`` for ``game`` at the initial state.
 
-    When ``ne_pairs`` is omitted a single exact equilibrium pair is computed
-    and used; supplying several pairs tightens the result (the measure is an
-    infimum over equilibria, so any finite selection is an upper bound).
+    ``nash`` is the game's :func:`exact_nash_values`; it is computed when
+    omitted.  The measure is an infimum over equilibria, so the one pair it
+    carries gives an upper bound on it.
     """
-    if ne_pairs is None:
+    if nash is None:
         nash = exact_nash_values(game)
-        ne_pairs = [(nash.policy_max, nash.policy_min)]
-    if not ne_pairs:
-        raise ConfigError("ne_pairs must contain at least one equilibrium pair")
     unit = bonus_tables(game, gram_matrices(game, dataset))
-    return _relative_uncertainty(game, unit, ne_pairs)
+    return _relative_uncertainty(game, unit, nash)
 
 
-def _relative_uncertainty(
-    game: TabularLinearMG,
-    unit: np.ndarray,
-    ne_pairs: Sequence[tuple[MarkovPolicy, MarkovPolicy]],
-) -> RUReport:
+def _relative_uncertainty(game: TabularLinearMG, unit: np.ndarray, nash: NashValues) -> RUReport:
     """RU from a ready unit-bonus table (H, S, A1, A2)."""
-    best: tuple[float, float, float, int] | None = None
-    for idx, (pi_star, nu_star) in enumerate(ne_pairs):
-        _check_policy(game, pi_star, 1)
-        _check_policy(game, nu_star, 2)
-        min_side = _response_value(game, unit, pi_star, np.argmax)
-        max_side = _response_value(game, unit, nu_star, np.argmax)
-        ru = max(max_side, min_side)
-        if best is None or ru < best[0]:
-            best = (ru, max_side, min_side, idx)
-    ru, max_side, min_side, idx = best
-    return RUReport(ru=ru, ru_max_side=max_side, ru_min_side=min_side, ne_index=idx)
+    _check_policy(game, nash.policy_max, 1)
+    _check_policy(game, nash.policy_min, 2)
+    min_side = _response_value(game, unit, nash.policy_max, np.argmax)
+    max_side = _response_value(game, unit, nash.policy_min, np.argmax)
+    return RUReport(ru=max(max_side, min_side), ru_max_side=max_side, ru_min_side=min_side)
 
 
 def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dict:
@@ -124,7 +107,7 @@ def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dic
     """
     report = suboptimality(game, output.policy_max, output.policy_min, nash=nash)
     iota_lo, iota_up = bellman_error_tables(game, output)
-    ru = _relative_uncertainty(game, output.unit_bonus, [(nash.policy_max, nash.policy_min)])
+    ru = _relative_uncertainty(game, output.unit_bonus, nash)
     return {
         "beta": output.beta,
         "v_lower": output.v_lower.initial(game),

@@ -190,6 +190,13 @@ class TestRun:
         assert code == 2 and out == ""
         assert named in err
 
+    def test_bad_flag_is_rejected_before_collection(self, capsys, monkeypatch):
+        collections = []
+        monkeypatch.setattr(cli, "collect_behavior", lambda *args: collections.append(args))
+        code, out, err = call(capsys, "run", "--game", "three-state", "--k", "50", "--beta", "nan")
+        assert code == 2 and out == "" and "beta must be finite" in err
+        assert collections == []
+
     def test_cross_game_dataset_is_detected(self, capsys, tmp_path):
         data_path = tmp_path / "cyclic.jsonl"
         call(
@@ -265,6 +272,17 @@ class TestRateSweep:
             "--seeds", "0", "--beta", "0.5",
         )
         assert code == 2 and "seed" in err
+
+    def test_bad_flag_is_rejected_before_the_game_is_loaded(self, capsys, tmp_path, monkeypatch):
+        game_path = tmp_path / "g.json"
+        pmvi.save_game(pmvi.mixed_bandit(), game_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_game", lambda *args: loads.append(args))
+        code, out, err = call(
+            capsys, "rate-sweep", "--game", str(game_path), "--k", "20,40", "--seeds", "2", "--c", "nan",
+        )
+        assert code == 2 and out == "" and "c must be positive and finite" in err
+        assert loads == []
 
     def test_flat_game_reports_degenerate_rate(self, capsys, tmp_path):
         # constant payoffs: every policy is optimal, the gap is exactly zero
@@ -363,6 +381,11 @@ class TestLowerBound:
         )
         assert code == 0
         assert json.loads(out)["k"] == 9
+
+    def test_empty_seed_range_rejected(self, capsys):
+        code, out, err = call(capsys, "lower-bound", "--k", "9", "--seeds", "0", "--beta", "0.5")
+        assert code == 2 and out == ""
+        assert "seed spec '0' gives no seeds" in err
 
 
 class TestParser:

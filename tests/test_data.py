@@ -315,6 +315,15 @@ def test_non_integer_index_rejected(field, bad, dtype):
         OfflineDataset(rewards=[[0.0]], **columns)
 
 
+def test_caller_arrays_stay_writeable_and_unshared():
+    columns = {name: np.zeros((2, 3), dtype=np.int64) for name in ("states", "actions_p1", "actions_p2", "next_states")}
+    rewards = np.zeros((2, 3))
+    data = OfflineDataset(rewards=rewards, **columns)
+    for name, arr in (*columns.items(), ("rewards", rewards)):
+        assert arr.flags.writeable and not np.shares_memory(arr, getattr(data, name))
+        assert not getattr(data, name).flags.writeable
+
+
 def test_empty_dataset_accepts_any_dtype():
     empty = np.empty((0, 3))
     data = OfflineDataset(states=empty, actions_p1=empty, actions_p2=empty, rewards=empty, next_states=empty)

@@ -1,5 +1,6 @@
 """Exact evaluators: equilibrium values, best responses, gap diagnostics."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -302,12 +303,13 @@ def test_every_policy_argument_must_fit_the_game(call, player, defect):
     data = collect_behavior(game, *pair, 5, np.random.default_rng(0))
     bad = pair[player - 1] = MarkovPolicy(np.full(shape, 1.0 / shape[2]), player)
     tables = np.ones(game.reward.shape)
+    nash = dataclasses.replace(exact_nash_values(game), policy_max=pair[0], policy_min=pair[1])
     calls = {
         "policy_value": lambda: policy_value(game, *pair),
         "suboptimality": lambda: suboptimality(game, *pair),
         "best_response_value": lambda: best_response_value(game, bad),
         "expected_total": lambda: expected_total(game, *pair, tables),
-        "relative_uncertainty": lambda: relative_uncertainty(game, data, ne_pairs=[tuple(pair)]),
+        "relative_uncertainty": lambda: relative_uncertainty(game, data, nash),
         "bonus_value_dp": lambda: bonus_value_dp(game, tables, bad),
     }
     with pytest.raises(ConfigError, match=rf"player {player} policy shape .* does not fit the game"):

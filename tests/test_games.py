@@ -189,6 +189,12 @@ class TestPolicies:
         with pytest.raises(ConfigError):
             MarkovPolicy(np.full((1, 1, 2), 0.5), player=3)
 
+    def test_caller_array_stays_writeable_and_unshared(self):
+        probs = np.full((3, 3, 2), 0.5)
+        pol = MarkovPolicy(probs, 1)
+        assert probs.flags.writeable and not np.shares_memory(probs, pol.probs)
+        assert not pol.probs.flags.writeable
+
 
 def test_tables_accessors():
     game = pmvi.three_state_game()

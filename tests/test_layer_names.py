@@ -1,8 +1,9 @@
 """Names that live outside the package must resolve in it.
 
-The benchmark's tracer patches pmvi functions by name, and README's "Key
-entry points" table documents public names; a refactor that drops one fails
-here, not in the benchmark or in a reader's hands."""
+The benchmark's tracer patches pmvi functions by name, README's "Key entry
+points" table documents public names and its "Library quickstart" block
+calls them; a refactor that drops or reshapes one fails here, not in the
+benchmark or in a reader's hands."""
 
 import ast
 import importlib
@@ -56,3 +57,11 @@ def test_every_readme_entry_point_resolves_in_pmvi():
     names = readme_entry_points()
     assert len(names) >= 20
     assert [name for name in names if name not in pmvi.__all__ or not hasattr(pmvi, name)] == []
+
+
+def test_readme_quickstart_runs(capsys):
+    text = README.read_text()
+    block = text[text.index("## Library quickstart") :].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, f"{README}:quickstart", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith("certificate:")

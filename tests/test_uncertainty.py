@@ -116,30 +116,21 @@ class TestRelativeUncertainty:
         ru_single = relative_uncertainty(game, d1).ru
         ru_double = relative_uncertainty(game, concatenate(d1, d2)).ru
         assert ru_double <= ru_single + 1e-12
+        # repeat call is bit-for-bit stable
+        assert relative_uncertainty(game, d1).ru == ru_single
 
-    def test_extra_equilibrium_pairs_only_tighten(self):
+    def test_given_equilibrium_is_the_one_computed(self):
         game = pmvi.mixed_bandit()
         data = collect_behavior(game, *uniform_pair(game), 40, np.random.default_rng(3))
-        base = relative_uncertainty(game, data)
-        nash = pmvi.exact_nash_values(game)
-        multi = relative_uncertainty(
-            game,
-            data,
-            ne_pairs=[(nash.policy_max, nash.policy_min), uniform_pair(game)],
-        )
-        assert multi.ru <= base.ru + 1e-12
-        assert multi.ne_index in (0, 1)
-        # repeat call is bit-for-bit stable
-        assert relative_uncertainty(game, data).ru == base.ru
+        assert relative_uncertainty(game, data, pmvi.exact_nash_values(game)) == relative_uncertainty(game, data)
 
     def test_pair_validation(self):
         game = pmvi.cyclic_bandit()
         data = collect_behavior(game, *uniform_pair(game), 5, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="at least one"):
-            relative_uncertainty(game, data, ne_pairs=[])
-        p1, p2 = uniform_pair(game)
+        nash = pmvi.exact_nash_values(game)
+        swapped = dataclasses.replace(nash, policy_max=nash.policy_min, policy_min=nash.policy_max)
         with pytest.raises(ConfigError, match="max-player, min-player"):
-            relative_uncertainty(game, data, ne_pairs=[(p2, p1)])
+            relative_uncertainty(game, data, swapped)
 
 
 class TestWellExplored:
