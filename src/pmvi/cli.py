@@ -41,23 +41,23 @@ from .matrix_nash import solve_zero_sum
 from .uncertainty import diagnose, well_explored_check
 from .value_iteration import PmviConfig, output_to_dict, run_pmvi
 
-_REGISTRY_HELP = (
-    "bandit-a | bandit-b | bandit-cyclic | bandit-mixed | three-state | "
-    "hard:p1=..,p2=..[,actions=..][,horizon=..] | path to a .json game file"
+# Each entry calls through this module's binding, so a wrapper patched onto
+# it (as the bench tracer does) sees the call.
+_BUILTIN_GAMES = {
+    "bandit-a": lambda: spurious_equilibrium_pair()[0],
+    "bandit-b": lambda: spurious_equilibrium_pair()[1],
+    "bandit-cyclic": lambda: cyclic_bandit(),
+    "bandit-mixed": lambda: mixed_bandit(),
+    "three-state": lambda: three_state_game(),
+}
+_REGISTRY_HELP = " | ".join(
+    [*_BUILTIN_GAMES, "hard:p1=..,p2=..[,actions=..][,horizon=..]", "path to a .json game file"]
 )
 
 
 def _load_game_spec(spec: str) -> TabularLinearMG:
-    if spec == "bandit-a":
-        return spurious_equilibrium_pair()[0]
-    if spec == "bandit-b":
-        return spurious_equilibrium_pair()[1]
-    if spec == "bandit-cyclic":
-        return cyclic_bandit()
-    if spec == "bandit-mixed":
-        return mixed_bandit()
-    if spec == "three-state":
-        return three_state_game()
+    if spec in _BUILTIN_GAMES:
+        return _BUILTIN_GAMES[spec]()
     if spec.startswith("hard:"):
         fields: dict[str, str] = {}
         for item in spec[len("hard:") :].split(","):
@@ -84,13 +84,15 @@ def _load_game_spec(spec: str) -> TabularLinearMG:
 
 def _parse_seeds(spec: str) -> list[int]:
     """Either a count (``200`` means seeds 0..199) or an explicit list ``3,7,11``;
-    at least one seed."""
+    at least one seed, none negative."""
     try:
         seeds = [int(part) for part in spec.split(",")] if "," in spec else list(range(int(spec)))
     except ValueError as exc:
         raise ConfigError(f"bad seed spec {spec!r}: {exc}") from exc
     if not seeds:
         raise ConfigError(f"seed spec {spec!r} gives no seeds; need at least one")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds entries must be >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -110,6 +112,8 @@ def _config_from_args(args: argparse.Namespace) -> PmviConfig:
 
 def _collect_uniform(game: TabularLinearMG, k: int, seed: int) -> OfflineDataset:
     """``k`` trajectories under the uniform behavior pair, drawn from ``seed``."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     uniform = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
     return collect_behavior(game, *uniform, k, np.random.default_rng(seed))
 
@@ -117,7 +121,7 @@ def _collect_uniform(game: TabularLinearMG, k: int, seed: int) -> OfflineDataset
 def _uniform_lambda_min(game: TabularLinearMG) -> list[float]:
     """Per-step smallest eigenvalue of ``E[phi phi']`` under the uniform behavior pair."""
     uniform = MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-    return well_explored_check(game, *uniform)[1].tolist()
+    return well_explored_check(game, *uniform).tolist()
 
 
 def _fmt(value) -> str:
@@ -157,14 +161,14 @@ def _cmd_generate_data(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if (args.dataset is None) == (args.k is None):
+        raise ConfigError("give exactly one of --dataset or --k")
     game = _load_game_spec(args.game)
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         validate_dataset(game, dataset)
         lams = None  # the behavior pair behind a file is unknown
     else:
-        if args.k is None:
-            raise ConfigError("run needs either --dataset or --k")
         dataset = _collect_uniform(game, args.k, args.seed)
         lams = _uniform_lambda_min(game)
     output = run_pmvi(game, dataset, config)
@@ -177,9 +181,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "lambda_min": lams,
         **diagnose(game, output, exact_nash_values(game)),
     }
-    _print_json(doc)
     if args.dump is not None:
         Path(args.dump).write_text(json.dumps(output_to_dict(output), sort_keys=True))
+    _print_json(doc)
     return 0
 
 
@@ -212,7 +216,8 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
     nash = exact_nash_values(game)  # solved once; every row shares it
     tasks = [(game, nash, k, seed, config) for k in ks for seed in seeds]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at once, so never more than there are rows
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(task) for task in tasks]
@@ -278,16 +283,10 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
 def _cmd_solve_matrix(args: argparse.Namespace) -> int:
     if (args.matrix is None) == (args.file is None):
         raise ConfigError("give exactly one of --matrix or --file")
-    if args.matrix is not None:
-        try:
-            payload = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad matrix JSON: {exc}") from exc
-    else:
-        try:
-            payload = json.loads(Path(args.file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read matrix file {args.file}: {exc}") from exc
+    try:
+        payload = json.loads(args.matrix if args.matrix is not None else Path(args.file).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read the matrix: {exc}") from exc
     solution = solve_zero_sum(payload, tol=args.tol)
     _print_json(
         {
@@ -377,6 +376,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # reads map to ConfigError, so this is a failed write
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

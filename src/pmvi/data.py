@@ -79,19 +79,6 @@ class OfflineDataset:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
-class CountStats:
-    """Counting statistics of a dataset's first step.
-
-    - ``first_pair_counts[i, j]``: episodes whose first action pair was (i, j)
-    - ``first_action_counts[i]``: row sums of ``first_pair_counts``
-    """
-
-    first_pair_counts: np.ndarray
-    first_action_counts: np.ndarray
-    k: int
-
-
 def collect_behavior(
     game: TabularLinearMG,
     policy_p1: MarkovPolicy,
@@ -161,13 +148,12 @@ def balanced_schedule(k: int, n_actions_p1: int, n_actions_p2: int | None = None
     return np.stack([idx // n_actions_p2, idx % n_actions_p2], axis=1)
 
 
-def count_stats(game: TabularLinearMG, dataset: OfflineDataset) -> CountStats:
-    """First-step action-pair counts and their per-max-action totals."""
+def count_stats(game: TabularLinearMG, dataset: OfflineDataset) -> np.ndarray:
+    """First-step max-player action counts, shape (A1,): entry ``i`` counts
+    the episodes whose first max action was ``i``.  These are the counts
+    :func:`pmvi.hard_instances.dataset_kl` weighs its divergences by."""
     check_dataset_bounds(game, dataset)
-    a1c, a2c = game.n_actions_p1, game.n_actions_p2
-    first_pairs = dataset.actions_p1[:, 0] * a2c + dataset.actions_p2[:, 0]
-    pair = np.bincount(first_pairs, minlength=a1c * a2c).reshape(a1c, a2c)
-    return CountStats(first_pair_counts=pair, first_action_counts=pair.sum(axis=1), k=dataset.k)
+    return np.bincount(dataset.actions_p1[:, 0], minlength=game.n_actions_p1)
 
 
 def validate_dataset(game: TabularLinearMG, dataset: OfflineDataset) -> None:

@@ -220,12 +220,7 @@ class MarkovPolicy:
         idx = np.broadcast_to(np.asarray(actions, dtype=np.int64), (game.horizon, game.n_states))
         if idx.min() < 0 or idx.max() >= n_actions:
             raise ConfigError("pure-policy action index out of range")
-        probs = np.zeros((game.horizon, game.n_states, n_actions))
-        h_grid, s_grid = np.meshgrid(
-            np.arange(game.horizon), np.arange(game.n_states), indexing="ij"
-        )
-        probs[h_grid, s_grid, idx] = 1.0
-        return cls(probs, player)
+        return cls(np.eye(n_actions)[idx], player)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import CountStats, OfflineDataset, collect_predetermined, count_stats
+from .data import OfflineDataset, collect_predetermined, count_stats
 from .errors import ConfigError, InvariantError
 from .evaluation import exact_nash_values, suboptimality
 from .games import MarkovPolicy, TabularLinearMG
@@ -51,7 +51,6 @@ class LeCamPair:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    pair: LeCamPair
     rows: list[dict]
     summary: dict
 
@@ -161,12 +160,14 @@ def _first_step_success(game: TabularLinearMG) -> np.ndarray:
     return probs[:, 0].copy()
 
 
-def dataset_kl(game_a: TabularLinearMG, game_b: TabularLinearMG, stats: CountStats) -> float:
+def dataset_kl(game_a: TabularLinearMG, game_b: TabularLinearMG, counts: np.ndarray) -> float:
     """Exact KL divergence between the dataset laws under the two games.
 
     Only the first transition differs between the games and it depends only
     on the max player's action, so the divergence is a sum of Bernoulli
     divergences weighted by how often the schedule plays each action.
+    ``counts`` is the (A1,) array of first-step max-action counts that
+    :func:`pmvi.data.count_stats` returns.
     """
     if game_a.transition.shape != game_b.transition.shape:
         raise ConfigError("the two games have different shapes")
@@ -176,8 +177,7 @@ def dataset_kl(game_a: TabularLinearMG, game_b: TabularLinearMG, stats: CountSta
         raise ConfigError("the two games disagree beyond the first step")
     pa = _first_step_success(game_a)
     pb = _first_step_success(game_b)
-    counts = stats.first_action_counts
-    if counts.shape[0] != pa.shape[0]:
+    if np.shape(counts) != pa.shape:
         raise ConfigError("count statistics do not match the games' action space")
     total = 0.0
     for i, n in enumerate(counts):
@@ -217,7 +217,7 @@ def run_lower_bound_experiment(
     pair = le_cam_pair(schedule, n_actions=n_actions, horizon=horizon)
     gap = pair.p_high - pair.p_low
     rows: list[dict] = []
-    stats: CountStats | None = None
+    counts: np.ndarray | None = None
     for game_id, game, best_action in (
         ("one", pair.game_one, 0),
         ("two", pair.game_two, 1),
@@ -226,8 +226,8 @@ def run_lower_bound_experiment(
         for seed in seeds:
             rng = np.random.default_rng(seed)
             dataset = collect_predetermined(game, schedule, rng)
-            if stats is None:
-                stats = count_stats(game, dataset)
+            if counts is None:
+                counts = count_stats(game, dataset)
             policy_max, policy_min = algorithm(game, dataset)
             report = suboptimality(game, policy_max, policy_min, nash=nash)
             predicted = (
@@ -252,7 +252,7 @@ def run_lower_bound_experiment(
                     "p_gap": gap,
                 }
             )
-    kl = dataset_kl(pair.game_one, pair.game_two, stats)
+    kl = dataset_kl(pair.game_one, pair.game_two, counts)
     summary: dict = {"kl": kl, "p_gap": gap, "k": int(schedule.shape[0])}
     for game_id in ("one", "two"):
         game_rows = [r for r in rows if r["game"] == game_id]
@@ -263,4 +263,4 @@ def run_lower_bound_experiment(
         )
     summary["worst_mean_subb"] = max(summary["mean_subb_one"], summary["mean_subb_two"])
     summary["worst_mean_ratio"] = max(summary["mean_ratio_one"], summary["mean_ratio_two"])
-    return LowerBoundResult(pair=pair, rows=rows, summary=summary)
+    return LowerBoundResult(rows=rows, summary=summary)

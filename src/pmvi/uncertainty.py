@@ -141,10 +141,9 @@ def well_explored_check(
     game: TabularLinearMG,
     policy_max: MarkovPolicy,
     policy_min: MarkovPolicy,
-    threshold: float = 0.0,
-) -> tuple[bool, np.ndarray]:
+) -> np.ndarray:
     """Smallest eigenvalue of ``E[phi_h phi_h']`` per step under a joint
-    policy pair, plus whether every step clears ``threshold``."""
+    policy pair, shape (H,); a step whose entry is 0 leaves some feature
+    direction unexplored."""
     outer = expected_feature_outer(game, policy_max, policy_min)
-    lams = np.array([float(np.linalg.eigvalsh(outer[h])[0]) for h in range(game.horizon)])
-    return bool((lams >= threshold - 1e-12).all()), lams
+    return np.array([float(np.linalg.eigvalsh(outer[h])[0]) for h in range(game.horizon)])

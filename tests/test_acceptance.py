@@ -179,7 +179,7 @@ def test_criterion_5_relative_uncertainty_worked_example():
 def test_criterion_6_gap_decay_rate_on_well_explored_bandit():
     budget = 300.0
     game = pmvi.mixed_bandit()
-    lam = well_explored_check(game, MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2))[1]
+    lam = well_explored_check(game, MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2))
     assert lam[0] == pytest.approx(1.0 / 9.0, abs=1e-12)  # well-explored premise
     t0 = time.perf_counter()
     buffer = io.StringIO()

@@ -338,6 +338,35 @@ class TestRateSweep:
         # the shared Nash values reach the worker processes intact
         assert blobs[0] == blobs[1]
 
+    def test_pool_never_outnumbers_the_rows(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        blobs = []
+        for jobs in ("5000", "1"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            code, _, _ = call(
+                capsys, "rate-sweep", "--game", "bandit-mixed", "--k", "20,40",
+                "--seeds", "1", "--beta", "0.5", "--jobs", jobs, "--out", str(out_csv),
+            )
+            assert code == 0
+            blobs.append(out_csv.read_bytes())
+        assert sizes == [2]  # two rows, two workers
+        assert blobs[0] == blobs[1]
+
     def test_loaded_game_gives_the_builtin_rows(self, capsys, tmp_path):
         game_path = tmp_path / "g.json"
         pmvi.save_game(pmvi.mixed_bandit(), game_path)
@@ -386,6 +415,46 @@ class TestLowerBound:
         code, out, err = call(capsys, "lower-bound", "--k", "9", "--seeds", "0", "--beta", "0.5")
         assert code == 2 and out == ""
         assert "seed spec '0' gives no seeds" in err
+
+
+# "TMP" stands for the test's temporary directory, which holds a dataset
+# ``d.jsonl`` and no ``missing/`` subdirectory.
+USAGE_ERRORS = {
+    "dataset-and-k": ["run", "--game", "bandit-mixed", "--dataset", "TMP/d.jsonl", "--k", "50"],
+    "run-negative-seed": ["run", "--game", "bandit-mixed", "--k", "50", "--seed", "-1"],
+    "generate-negative-seed": [
+        "generate-data", "--game", "bandit-mixed", "--k", "50", "--seed", "-2", "--out", "TMP/g.jsonl",
+    ],
+    "sweep-negative-seed": [
+        "rate-sweep", "--game", "bandit-mixed", "--k", "20,40", "--seeds", "1,-3", "--beta", "0.5",
+    ],
+    "lower-bound-negative-seed": ["lower-bound", "--k", "9", "--seeds", "1,-3", "--beta", "0.5"],
+    "generate-unwritable-out": [
+        "generate-data", "--game", "bandit-mixed", "--k", "50", "--out", "TMP/missing/g.jsonl",
+    ],
+    "run-unwritable-dump": [
+        "run", "--game", "bandit-mixed", "--k", "50", "--beta", "0.5", "--dump", "TMP/missing/run.json",
+    ],
+    "sweep-unwritable-out": [
+        "rate-sweep", "--game", "bandit-mixed", "--k", "20,40", "--seeds", "1", "--beta", "0.5",
+        "--out", "TMP/missing/s.csv",
+    ],
+    "lower-bound-unwritable-out": [
+        "lower-bound", "--k", "9", "--seeds", "1", "--beta", "0.5", "--out", "TMP/missing/lb.csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_exit_2(capsys, tmp_path, argv):
+    code, _, _ = call(
+        capsys, "generate-data", "--game", "bandit-mixed", "--k", "5", "--out", str(tmp_path / "d.jsonl")
+    )
+    assert code == 0
+    code, out, err = call(capsys, *(arg.replace("TMP", str(tmp_path)) for arg in argv))
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "g.jsonl").exists()
 
 
 class TestParser:

@@ -68,11 +68,11 @@ class TestBuildGame:
         game = build_game(0.5, 0.5)
         schedule = balanced_schedule(45, 3, 3)
         data = collect_predetermined(game, schedule, np.random.default_rng(8))
-        stats = count_stats(game, data)
+        pair_counts = np.bincount(data.actions_p1[:, 0] * 3 + data.actions_p2[:, 0], minlength=9)
         gram = pmvi.gram_matrices(game, data)
         d = game.dim
         expected0 = np.eye(d)
-        expected0[: 9, : 9] += np.diag(stats.first_pair_counts.reshape(-1))
+        expected0[: 9, : 9] += np.diag(pair_counts)
         assert np.array_equal(gram[0], expected0)
         wins = int((data.next_states[:, 0] == 1).sum())
         for h in (1, 2):
@@ -182,6 +182,9 @@ class TestDatasetKL:
         stats = count_stats(small, data)
         with pytest.raises(ConfigError, match="do not match"):
             dataset_kl(pair.game_one, pair.game_two, stats)
+        # a (A1, A2) pair table is not the (A1,) count vector
+        with pytest.raises(ConfigError, match="do not match"):
+            dataset_kl(pair.game_one, pair.game_two, np.zeros((3, 3), dtype=np.int64))
 
 
 def equilibrium_algorithm(game, dataset):

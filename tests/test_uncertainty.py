@@ -136,19 +136,15 @@ class TestRelativeUncertainty:
 class TestWellExplored:
     def test_uniform_play_on_bandit(self):
         game = pmvi.cyclic_bandit()
-        ok, lams = well_explored_check(game, *uniform_pair(game), threshold=1.0 / 9.0)
-        assert ok
+        lams = well_explored_check(game, *uniform_pair(game))
         assert lams.shape == (1,)
         assert lams[0] == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_pure_play_is_degenerate(self):
         game = pmvi.cyclic_bandit()
         pair = (MarkovPolicy.pure(game, 1, 0), MarkovPolicy.pure(game, 2, 0))
-        ok, lams = well_explored_check(game, *pair, threshold=0.01)
-        assert not ok
+        lams = well_explored_check(game, *pair)
         assert lams[0] == pytest.approx(0.0, abs=1e-12)
-        ok_zero, _ = well_explored_check(game, *pair, threshold=0.0)
-        assert ok_zero
 
 
 class TestExpectedFeatureOuter:
