@@ -163,13 +163,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if (args.dataset is None) == (args.k is None):
         raise ConfigError("give exactly one of --dataset or --k")
+    if args.dataset is not None and args.seed is not None:
+        raise ConfigError("--seed goes with --k; a --dataset file was drawn already")
     game = _load_game_spec(args.game)
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         validate_dataset(game, dataset)
         lams = None  # the behavior pair behind a file is unknown
     else:
-        dataset = _collect_uniform(game, args.k, args.seed)
+        dataset = _collect_uniform(game, args.k, args.seed or 0)
         lams = _uniform_lambda_min(game)
     output = run_pmvi(game, dataset, config)
     doc = {
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--game", required=True, help=_REGISTRY_HELP)
     run.add_argument("--dataset", default=None, help="JSONL dataset path (from generate-data)")
     run.add_argument("--k", type=int, default=None, help="collect this many fresh uniform trajectories instead")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=None, help="seed of the fresh --k trajectories (default 0)")
     run.add_argument("--dump", default=None, help="write the full run output (tables, weights) as JSON here")
     _add_beta_flags(run)
     run.set_defaults(func=_cmd_run)

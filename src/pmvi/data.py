@@ -144,6 +144,8 @@ def balanced_schedule(k: int, n_actions_p1: int, n_actions_p2: int | None = None
     if k < 0:
         raise ConfigError("k must be nonnegative")
     n_actions_p2 = n_actions_p1 if n_actions_p2 is None else n_actions_p2
+    if min(n_actions_p1, n_actions_p2) < 1:
+        raise ConfigError(f"action counts must be >= 1, got ({n_actions_p1}, {n_actions_p2})")
     idx = np.arange(k, dtype=np.int64) % (n_actions_p1 * n_actions_p2)
     return np.stack([idx // n_actions_p2, idx % n_actions_p2], axis=1)
 

@@ -38,15 +38,13 @@ Algorithm = Callable[[TabularLinearMG, OfflineDataset], tuple[MarkovPolicy, Mark
 
 @dataclass(frozen=True)
 class LeCamPair:
-    """Two games separated only by a swap of first-action probabilities."""
+    """The two games :func:`le_cam_pair` builds: they differ only in a swap
+    of the first-step success probabilities of max actions 0 and 1."""
 
     game_one: TabularLinearMG  # action 0 is the better first action
     game_two: TabularLinearMG  # action 1 is the better first action
-    p_low: float
-    p_high: float
-    delta: float
-    n_first: int  # schedule rows playing max action 0
-    n_second: int  # schedule rows playing max action 1
+    p_low: float  # 1/2 - delta; max actions from 2 on succeed with it in both games
+    p_high: float  # 1/2 + delta
 
 
 @dataclass(frozen=True)
@@ -121,11 +119,12 @@ def le_cam_pair(
     ``build_game(1/2 + delta, 1/2 - delta)`` and its swap.
     """
     schedule = np.asarray(schedule)
-    if schedule.ndim != 2 or schedule.shape[1] != 2 or schedule.shape[0] < 1:
+    if schedule.ndim != 2 or schedule.shape[1] != 2:
         raise ConfigError(f"schedule must have shape (k, 2), got {schedule.shape}")
-    firsts = schedule[:, 0]
-    n_first = int((firsts == 0).sum())
-    n_second = int((firsts == 1).sum())
+    if schedule.shape[0] == 0:
+        raise ConfigError("schedule has no rows; the pair needs at least one episode")
+    n_first = int((schedule[:, 0] == 0).sum())
+    n_second = int((schedule[:, 0] == 1).sum())
     if n_first + n_second < 1:
         raise ConfigError("schedule never plays max action 0 or 1; the pair is undefined")
     delta = math.sqrt(2.0 / (n_first + n_second)) / 16.0
@@ -135,64 +134,26 @@ def le_cam_pair(
         game_two=build_game(p_low, p_high, n_actions=n_actions, horizon=horizon),
         p_low=p_low,
         p_high=p_high,
-        delta=delta,
-        n_first=n_first,
-        n_second=n_second,
     )
 
 
-def _first_step_success(game: TabularLinearMG) -> np.ndarray:
-    """Per-max-action probability of reaching the rewarding state at step 0,
-    validated to be independent of the min player's action."""
-    if game.initial_state != 0:
-        raise ConfigError("expected the start state to be state 0")
-    probs = game.transition[0, 0, :, :, 1]
-    if np.ptp(probs, axis=1).max() > 1e-12:
-        raise ConfigError("first-step success probabilities depend on the min player")
-    if np.abs(game.transition[0, 0, :, :, 0]).max() > 1e-12:
-        raise ConfigError("the start state re-enters itself; not the expected family")
-    if game.n_states > 3 and np.abs(game.transition[0, 0, :, :, 3:]).max() > 1e-12:
-        raise ConfigError("first step leaves the three-state family")
-    for s in (1, 2):
-        support = game.transition[1:, s, :, :, s] if game.horizon > 1 else None
-        if support is not None and np.abs(support - 1.0).max() > 1e-12:
-            raise ConfigError(f"state {s} is not absorbing; not the expected family")
-    return probs[:, 0].copy()
-
-
-def dataset_kl(game_a: TabularLinearMG, game_b: TabularLinearMG, counts: np.ndarray) -> float:
-    """Exact KL divergence between the dataset laws under the two games.
+def dataset_kl(pair: LeCamPair, counts: np.ndarray) -> float:
+    """Exact ``KL(P_one || P_two)`` between the pair's dataset laws.
 
     Only the first transition differs between the games and it depends only
     on the max player's action, so the divergence is a sum of Bernoulli
-    divergences weighted by how often the schedule plays each action.
+    divergences weighted by how often the schedule plays each action:
+    ``counts[0] KL(p_high || p_low) + counts[1] KL(p_low || p_high)``.  Max
+    actions from 2 on succeed with ``p_low`` in both games and add nothing.
     ``counts`` is the (A1,) array of first-step max-action counts that
     :func:`pmvi.data.count_stats` returns.
     """
-    if game_a.transition.shape != game_b.transition.shape:
-        raise ConfigError("the two games have different shapes")
-    if np.abs(game_a.reward - game_b.reward).max() > 1e-12:
-        raise ConfigError("the two games disagree on rewards; KL formula does not apply")
-    if np.abs(game_a.transition[1:] - game_b.transition[1:]).max() > 1e-12:
-        raise ConfigError("the two games disagree beyond the first step")
-    pa = _first_step_success(game_a)
-    pb = _first_step_success(game_b)
-    if np.shape(counts) != pa.shape:
+    if np.shape(counts) != (pair.game_one.n_actions_p1,):
         raise ConfigError("count statistics do not match the games' action space")
     total = 0.0
-    for i, n in enumerate(counts):
-        if n == 0 or pa[i] == pb[i]:
-            continue
-        if not (0.0 < pb[i] < 1.0):
-            raise ConfigError(f"action {i}: divergence is infinite (q={pb[i]!r})")
-        p, q = float(pa[i]), float(pb[i])
-        term = 0.0
-        if p > 0.0:
-            term += p * math.log(p / q)
-        if p < 1.0:
-            term += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-        total += int(n) * term
-    return float(total)
+    for n, p, q in ((counts[0], pair.p_high, pair.p_low), (counts[1], pair.p_low, pair.p_high)):
+        total += int(n) * (p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q)))
+    return total
 
 
 def run_lower_bound_experiment(
@@ -252,7 +213,7 @@ def run_lower_bound_experiment(
                     "p_gap": gap,
                 }
             )
-    kl = dataset_kl(pair.game_one, pair.game_two, counts)
+    kl = dataset_kl(pair, counts)
     summary: dict = {"kl": kl, "p_gap": gap, "k": int(schedule.shape[0])}
     for game_id in ("one", "two"):
         game_rows = [r for r in rows if r["game"] == game_id]

@@ -46,10 +46,10 @@ class NashSolution:
             object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
 
 
-def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Maximize ``c.x`` subject to ``a x <= b``, ``x >= 0`` with ``b >= 0``.
+def _simplex_max(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Maximize ``1'w`` subject to ``a w <= 1``, ``w >= 0`` (the shifted game's LP).
 
-    Returns ``(x, duals, basis)``; ``basis`` lists the final basic columns
+    Returns ``(w, duals, basis)``; ``basis`` lists the final basic columns
     of ``[a | I]``, one per row.  Entering variable: lowest index with positive
     reduced cost; leaving variable: lowest-index basis variable among the
     minimum-ratio rows (Bland's rule, so no cycling).
@@ -58,8 +58,8 @@ def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     tableau = np.empty((m, n + m + 1))
     tableau[:, :n] = a
     tableau[:, n : n + m] = np.eye(m)
-    tableau[:, -1] = b
-    reduced = np.concatenate([c, np.zeros(m)])
+    tableau[:, -1] = 1.0
+    reduced = np.concatenate([np.ones(n), np.zeros(m)])
     basis = list(range(n, n + m))
 
     for _ in range(_MAX_PIVOTS):
@@ -95,10 +95,10 @@ def _simplex_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     else:
         raise SolverError("simplex failed to terminate")
 
-    x = np.zeros(n + m)
-    x[basis] = tableau[:, -1]
+    w = np.zeros(n + m)
+    w[basis] = tableau[:, -1]
     duals = -reduced[n:]
-    return x[:n], duals, basis
+    return w[:n], duals, basis
 
 
 def _basis_solution(a: np.ndarray, basis: list) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +160,7 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
 
     shift = m.min() - 1.0
     shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
-    rows, cols = shifted.shape
-    w, duals, basis = _simplex_max(shifted, np.ones(rows), np.ones(cols))
+    w, duals, basis = _simplex_max(shifted)
     sol = _equilibrium(m, shift, w, duals)
     if not sol.exploitability <= tol:
         sol = _equilibrium(m, shift, *_basis_solution(shifted, basis))

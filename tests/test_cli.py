@@ -421,6 +421,7 @@ class TestLowerBound:
 # ``d.jsonl`` and no ``missing/`` subdirectory.
 USAGE_ERRORS = {
     "dataset-and-k": ["run", "--game", "bandit-mixed", "--dataset", "TMP/d.jsonl", "--k", "50"],
+    "dataset-and-seed": ["run", "--game", "bandit-mixed", "--dataset", "TMP/d.jsonl", "--seed", "5"],
     "run-negative-seed": ["run", "--game", "bandit-mixed", "--k", "50", "--seed", "-1"],
     "generate-negative-seed": [
         "generate-data", "--game", "bandit-mixed", "--k", "50", "--seed", "-2", "--out", "TMP/g.jsonl",

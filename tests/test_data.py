@@ -138,6 +138,12 @@ class TestBalancedSchedule:
         with pytest.raises(ConfigError):
             balanced_schedule(-1, 3)
 
+    @pytest.mark.filterwarnings("error")  # no divide-by-zero on the way to the error
+    @pytest.mark.parametrize("n_actions", [(2, 0), (0, 3), (-2, 3)])
+    def test_rejects_action_counts_below_one(self, n_actions):
+        with pytest.raises(ConfigError, match="action counts must be >= 1"):
+            balanced_schedule(4, *n_actions)
+
 
 class TestCountStats:
     def test_totals_and_margins(self, three_state):

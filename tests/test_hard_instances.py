@@ -84,9 +84,10 @@ class TestBuildGame:
 
 class TestLeCamPair:
     def test_frozen_calibration(self):
-        pair = le_cam_pair(balanced_schedule(90, 3, 3))
-        assert (pair.n_first, pair.n_second) == (30, 30)
-        assert pair.delta == pytest.approx(math.sqrt(2.0 / 60.0) / 16.0, rel=1e-15)
+        schedule = balanced_schedule(90, 3, 3)
+        pair = le_cam_pair(schedule)
+        assert ((schedule[:, 0] == 0).sum(), (schedule[:, 0] == 1).sum()) == (30, 30)
+        assert pair.p_high - pair.p_low == pytest.approx(2 * math.sqrt(2.0 / 60.0) / 16.0, rel=1e-15)
         assert pair.p_low + pair.p_high == pytest.approx(1.0, abs=1e-15)
         # game one prefers action 0, game two prefers action 1
         assert pair.game_one.transition[0, 0, 0, 0, 1] == pytest.approx(pair.p_high)
@@ -95,7 +96,7 @@ class TestLeCamPair:
         assert pair.game_two.transition[0, 0, 1, 0, 1] == pytest.approx(pair.p_high)
 
     def test_rejections(self):
-        with pytest.raises(ConfigError, match="shape"):
+        with pytest.raises(ConfigError, match="no rows"):
             le_cam_pair(np.zeros((0, 2), dtype=int))
         with pytest.raises(ConfigError, match="never plays"):
             le_cam_pair(np.array([[2, 0], [2, 1]]))
@@ -107,9 +108,9 @@ class TestDatasetKL:
         pair = le_cam_pair(schedule)
         data = collect_predetermined(pair.game_one, schedule, np.random.default_rng(0))
         stats = count_stats(pair.game_one, data)
-        kl = dataset_kl(pair.game_one, pair.game_two, stats)
+        kl = dataset_kl(pair, stats)
         p, q = pair.p_high, pair.p_low
-        manual = pair.n_first * bernoulli_kl(p, q) + pair.n_second * bernoulli_kl(q, p)
+        manual = stats[0] * bernoulli_kl(p, q) + stats[1] * bernoulli_kl(q, p)
         assert kl == pytest.approx(manual, rel=1e-12)
         # the 1/sqrt(n) shrinkage pins the divergence near 1/16 for any size
         assert kl <= 0.5
@@ -121,7 +122,7 @@ class TestDatasetKL:
         pair = le_cam_pair(schedule)
         data = collect_predetermined(pair.game_one, schedule, np.random.default_rng(0))
         stats = count_stats(pair.game_one, data)
-        kl = dataset_kl(pair.game_one, pair.game_two, stats)
+        kl = dataset_kl(pair, stats)
         assert kl <= 0.5
         assert kl == pytest.approx(1.0 / 16.0, abs=0.01)
 
@@ -129,9 +130,10 @@ class TestDatasetKL:
         schedule = balanced_schedule(90, 3, 3)
         pair = le_cam_pair(schedule)
         data = collect_predetermined(pair.game_one, schedule, np.random.default_rng(0))
-        kl = dataset_kl(pair.game_one, pair.game_two, count_stats(pair.game_one, data))
+        stats = count_stats(pair.game_one, data)
+        kl = dataset_kl(pair, stats)
         p, q = pair.p_high, pair.p_low
-        n1, n2 = pair.n_first, pair.n_second
+        n1, n2 = stats[0], stats[1]
         rng = np.random.default_rng(2024)
         sims = 100_000
         wins0 = rng.binomial(n1, p, size=sims)
@@ -144,47 +146,36 @@ class TestDatasetKL:
         )
         assert llr.mean() == pytest.approx(kl, abs=0.005)
 
-    def test_mismatched_games_rejected(self):
-        pair = le_cam_pair(balanced_schedule(18, 3, 3))
-        small = build_game(0.5, 0.5, n_actions=2)
-        data = collect_predetermined(pair.game_one, balanced_schedule(18, 3, 3), np.random.default_rng(0))
-        stats = count_stats(pair.game_one, data)
-        with pytest.raises(ConfigError, match="different shapes"):
-            dataset_kl(pair.game_one, small, stats)
-        with pytest.raises(ConfigError, match="rewards"):
-            dataset_kl(pmvi.cyclic_bandit(), pmvi.mixed_bandit(), stats)
-
-    def test_infinite_divergence_rejected(self):
-        # hand-built two-action variant whose alternative law is deterministic
-        def tiny(p0):
-            transition = np.zeros((2, 3, 2, 1, 3))
-            transition[0, 0, 0, 0] = [0.0, p0, 1.0 - p0]
-            transition[0, 0, 1, 0] = [0.0, 0.4, 0.6]
-            for s, t in ((1, 1), (2, 2)):
-                transition[0, s, :, :, t] = 1.0
-                transition[1, s, :, :, t] = 1.0
-            transition[1, 0, :, :, 0] = 1.0
-            reward = np.zeros((2, 3, 2, 1))
-            reward[1, 1] = 1.0
-            return pmvi.one_hot_featurize(transition, reward)
-
-        game_a, game_b = tiny(0.6), tiny(1.0)
-        schedule = np.array([[0, 0], [1, 0]])
-        data = collect_predetermined(game_a, schedule, np.random.default_rng(0))
-        stats = count_stats(game_a, data)
-        with pytest.raises(ConfigError, match="infinite"):
-            dataset_kl(game_a, game_b, stats)
-
     def test_count_shape_mismatch_rejected(self):
         pair = le_cam_pair(balanced_schedule(18, 3, 3))
         small = build_game(0.5, 0.5, n_actions=2)
         data = collect_predetermined(small, balanced_schedule(8, 2, 2), np.random.default_rng(0))
         stats = count_stats(small, data)
         with pytest.raises(ConfigError, match="do not match"):
-            dataset_kl(pair.game_one, pair.game_two, stats)
+            dataset_kl(pair, stats)
         # a (A1, A2) pair table is not the (A1,) count vector
         with pytest.raises(ConfigError, match="do not match"):
-            dataset_kl(pair.game_one, pair.game_two, np.zeros((3, 3), dtype=np.int64))
+            dataset_kl(pair, np.zeros((3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("k, actions", [(90, 3), (7, 2), (1000, 3)])
+    def test_reads_the_games_own_laws(self, k, actions):
+        # the pair's probabilities are the ones its games' transitions carry
+        schedule = balanced_schedule(k, actions, actions)
+        pair = le_cam_pair(schedule, n_actions=actions)
+        data = collect_predetermined(pair.game_one, schedule, np.random.default_rng(0))
+        counts = count_stats(pair.game_one, data)
+        pa = pair.game_one.transition[0, 0, :, 0, 1]
+        pb = pair.game_two.transition[0, 0, :, 0, 1]
+        manual = 0.0
+        for n, p, q in zip(counts, pa, pb):
+            manual += int(n) * bernoulli_kl(float(p), float(q))
+        assert dataset_kl(pair, counts) == manual
+
+    def test_pinned_value(self):
+        schedule = balanced_schedule(90, 3, 3)
+        pair = le_cam_pair(schedule)
+        data = collect_predetermined(pair.game_one, schedule, np.random.default_rng(0))
+        assert repr(dataset_kl(pair, count_stats(pair.game_one, data))) == "0.06251085408654819"
 
 
 def equilibrium_algorithm(game, dataset):
@@ -246,7 +237,7 @@ def test_transition_noise_concentrates_at_schedule_rate():
     schedule = balanced_schedule(90, 3, 3)
     pair = le_cam_pair(schedule)
     game = pair.game_one
-    n1 = pair.n_first
+    n1 = int((schedule[:, 0] == 0).sum())
     band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n1))
     plays_zero = schedule[:, 0] == 0
     hits = 0
