@@ -39,10 +39,8 @@ from .games import (
     PAYOFF_CYCLIC,
     PAYOFF_MIXED,
     MarkovPolicy,
-    QTable,
     RegularityWarning,
     TabularLinearMG,
-    VTable,
     bandit_game,
     bellman_apply,
     cyclic_bandit,
@@ -102,12 +100,10 @@ __all__ = [
     "PmviConfig",
     "PmviError",
     "PmviOutput",
-    "QTable",
     "RegularityWarning",
     "RUReport",
     "SolverError",
     "TabularLinearMG",
-    "VTable",
     "balanced_schedule",
     "bandit_game",
     "bellman_apply",

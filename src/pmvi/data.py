@@ -109,8 +109,8 @@ def collect_predetermined(
     pairs.  Steps after the first play the filler pair (0, 0); only the
     environment is stochastic.
     """
-    schedule = np.asarray(schedule, dtype=np.int64)
-    if schedule.ndim != 2 or schedule.shape[1] != 2:
+    schedule = _int_matrix(schedule, "schedule")
+    if schedule.shape[1] != 2:
         raise ConfigError(f"schedule must have shape (K, 2), got {schedule.shape}")
     k = schedule.shape[0]
     if not ((schedule >= 0) & (schedule < (game.n_actions_p1, game.n_actions_p2))).all():
@@ -141,9 +141,12 @@ def _roll_out(game: TabularLinearMG, k: int, act, rng: np.random.Generator, prov
 
 def balanced_schedule(k: int, n_actions_p1: int, n_actions_p2: int | None = None) -> np.ndarray:
     """A (k, 2) schedule cycling uniformly through all action pairs in row-major order."""
+    n_actions_p2 = n_actions_p1 if n_actions_p2 is None else n_actions_p2
+    sizes = (k, n_actions_p1, n_actions_p2)
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+        raise ConfigError(f"k and the action counts must be integers, got {sizes!r}")
     if k < 0:
         raise ConfigError("k must be nonnegative")
-    n_actions_p2 = n_actions_p1 if n_actions_p2 is None else n_actions_p2
     if min(n_actions_p1, n_actions_p2) < 1:
         raise ConfigError(f"action counts must be >= 1, got ({n_actions_p1}, {n_actions_p2})")
     idx = np.arange(k, dtype=np.int64) % (n_actions_p1 * n_actions_p2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, _check_policy, bellman_apply
+from .games import MarkovPolicy, TabularLinearMG, _check_policy, _freeze, bellman_apply
 from .matrix_nash import solve_zero_sum
 from .value_iteration import PmviOutput
 
@@ -34,9 +34,9 @@ _CHAIN_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class NashValues:
-    """Exact equilibrium values of a game plus one equilibrium policy pair."""
+    """Exact equilibrium values ``v_star`` (read-only, shape (H, S)) plus one equilibrium policy pair."""
 
-    v_star: VTable
+    v_star: np.ndarray
     policy_max: MarkovPolicy
     policy_min: MarkovPolicy
 
@@ -74,28 +74,28 @@ def exact_nash_values(game: TabularLinearMG) -> NashValues:
             pi[h, s] = sol.row_strategy
             nu[h, s] = sol.col_strategy
     return NashValues(
-        v_star=VTable(v[:h_len]),
+        v_star=_freeze(v[:h_len]),
         policy_max=MarkovPolicy(pi, player=1),
         policy_min=MarkovPolicy(nu, player=2),
     )
 
 
-def policy_value(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> VTable:
-    """V^{pi,nu}_h(s) for a fixed joint policy, by backward DP."""
+def policy_value(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: MarkovPolicy) -> np.ndarray:
+    """V^{pi,nu}_h(s) for a fixed joint policy, by backward DP; a read-only (H, S) array."""
     _check_policy(game, policy_max, 1)
     _check_policy(game, policy_min, 2)
     v = np.zeros((game.horizon + 1, game.n_states))
     for h in reversed(range(game.horizon)):
         q = bellman_apply(game, h, v[h + 1])
         v[h] = np.einsum("sa,sab,sb->s", policy_max.probs[h], q, policy_min.probs[h])
-    return VTable(v[: game.horizon])
+    return _freeze(v[: game.horizon])
 
 
 def best_response_value(
     game: TabularLinearMG, policy: MarkovPolicy
-) -> tuple[VTable, MarkovPolicy]:
+) -> tuple[np.ndarray, MarkovPolicy]:
     """Fix one player's Markov policy; return the opponent's exact best
-    response value table and a pure policy attaining it.
+    response value table (read-only, shape (H, S)) and a pure policy attaining it.
 
     For a max-player policy pi this is V^{pi,*} (opponent minimizes); for a
     min-player policy nu it is V^{*,nu} (opponent maximizes).
@@ -103,7 +103,7 @@ def best_response_value(
     pick = np.argmin if policy.player == 1 else np.argmax
     v, actions = _response_dp(game, game.reward, policy, pick)
     br_player = 2 if policy.player == 1 else 1
-    return VTable(v), MarkovPolicy.pure(game, br_player, actions)
+    return _freeze(v), MarkovPolicy.pure(game, br_player, actions)
 
 
 def _response_dp(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, pick) -> tuple:
@@ -150,15 +150,15 @@ def suboptimality(
     _check_policy(game, policy_min, 2)
     if nash is None:
         nash = exact_nash_values(game)
-    elif nash.v_star.values.shape != (game.horizon, game.n_states):
+    elif nash.v_star.shape != (game.horizon, game.n_states):
         raise ConfigError(
-            f"nash tables of shape {nash.v_star.values.shape} do not match the game "
+            f"nash tables of shape {nash.v_star.shape} do not match the game "
             f"{(game.horizon, game.n_states)}"
         )
-    v_star = nash.v_star.initial(game)
+    v_star = float(nash.v_star[0, game.initial_state])
     v_min_br = _response_value(game, game.reward, policy_max, np.argmin)
     v_max_br = _response_value(game, game.reward, policy_min, np.argmax)
-    v_pair = policy_value(game, policy_max, policy_min).initial(game)
+    v_pair = float(policy_value(game, policy_max, policy_min)[0, game.initial_state])
     if not (v_min_br <= v_star + _CHAIN_ATOL and v_star <= v_max_br + _CHAIN_ATOL):
         raise InvariantError(
             f"weak-duality chain violated: {v_min_br!r} <= {v_star!r} <= {v_max_br!r} fails"
@@ -184,8 +184,8 @@ def bellman_error_tables(game: TabularLinearMG, output: PmviOutput) -> tuple[np.
     the upper pair, shapes (H, S, A1, A2).
     """
     return (
-        _residuals(game, output.q_lower.values, output.v_lower.values),
-        _residuals(game, output.q_upper.values, output.v_upper.values),
+        _residuals(game, output.q_lower, output.v_lower),
+        _residuals(game, output.q_upper, output.v_upper),
     )
 
 
@@ -256,8 +256,8 @@ def theorem_bound_rhs(
 
 def value_difference(
     game: TabularLinearMG,
-    q_hat: QTable,
-    v_hat: VTable,
+    q_hat: np.ndarray,
+    v_hat: np.ndarray,
     policy_hat_max: MarkovPolicy,
     policy_hat_min: MarkovPolicy,
     policy_max: MarkovPolicy,
@@ -265,6 +265,7 @@ def value_difference(
 ) -> tuple[float, float, float]:
     """Exact decomposition of ``Vhat_1(x) - V^{pi,nu}_1(x)``.
 
+    ``q_hat`` (H, S, A1, A2) and ``v_hat`` (H, S) must fit the game, or :class:`ConfigError`.
     Requires the consistency ``Vhat_h(s) = pihat_h(s)' Qhat_h(s) nuhat_h(s)``
     (checked to ``_CHAIN_ATOL``; the decomposition is an identity only under it).  Returns
     ``(advantage_term, residual_term, total)`` where
@@ -276,10 +277,12 @@ def value_difference(
     """
     for policy, player in ((policy_hat_max, 1), (policy_hat_min, 2), (policy_max, 1), (policy_min, 2)):
         _check_policy(game, policy, player)
-    consistency = np.einsum(
-        "hsa,hsab,hsb->hs", policy_hat_max.probs, q_hat.values, policy_hat_min.probs
-    )
-    worst = np.abs(consistency - v_hat.values).max()
+    q_hat = _check_tables(game, q_hat)
+    v_hat = np.asarray(v_hat, dtype=np.float64)
+    if v_hat.shape != (game.horizon, game.n_states):
+        raise ConfigError(f"v_hat shape {v_hat.shape} does not match the game {(game.horizon, game.n_states)}")
+    consistency = np.einsum("hsa,hsab,hsb->hs", policy_hat_max.probs, q_hat, policy_hat_min.probs)
+    worst = np.abs(consistency - v_hat).max()
     if worst > _CHAIN_ATOL:
         raise InvariantError(
             f"v_hat is not the bilinear form of q_hat under the hat policies "
@@ -287,13 +290,14 @@ def value_difference(
         )
     # <Qhat, pihat x nuhat> is a per-state scalar; spread it as a constant
     # table so the same expectation operator handles both terms.
-    advantage_tables = consistency[:, :, None, None] - q_hat.values
+    advantage_tables = consistency[:, :, None, None] - q_hat
     # IEEE subtraction is antisymmetric: these are the exact negated residuals
-    residual_tables = -_residuals(game, q_hat.values, v_hat.values)
+    residual_tables = -_residuals(game, q_hat, v_hat)
     advantage = expected_total(game, policy_max, policy_min, advantage_tables)
     residual = expected_total(game, policy_max, policy_min, residual_tables)
     total = advantage + residual
-    expected = v_hat.initial(game) - policy_value(game, policy_max, policy_min).initial(game)
+    x = game.initial_state
+    expected = float(v_hat[0, x]) - float(policy_value(game, policy_max, policy_min)[0, x])
     if abs(total - expected) > _CHAIN_ATOL:
         raise InvariantError(
             f"value-difference identity violated: {total!r} vs {expected!r}"

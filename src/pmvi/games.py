@@ -223,35 +223,6 @@ class MarkovPolicy:
         return cls(np.eye(n_actions)[idx], player)
 
 
-@dataclass(frozen=True)
-class QTable:
-    """Step-indexed action-value tables, shape (H, S, A1, A2)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = _float_array(self.values, "Q values")
-        if values.ndim != 4:
-            raise ConfigError(f"Q table must have shape (H,S,A1,A2), got {values.shape}")
-        object.__setattr__(self, "values", _freeze(values))
-
-
-@dataclass(frozen=True)
-class VTable:
-    """Step-indexed state-value tables, shape (H, S); V_{H+1} = 0 is implicit."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = _float_array(self.values, "V values")
-        if values.ndim != 2:
-            raise ConfigError(f"V table must have shape (H,S), got {values.shape}")
-        object.__setattr__(self, "values", _freeze(values))
-
-    def initial(self, game: TabularLinearMG) -> float:
-        return float(self.values[0, game.initial_state])
-
-
 def _check_policy(game: TabularLinearMG, policy: MarkovPolicy, player: int) -> None:
     """``policy`` belongs to ``player`` and has the game's (H, S, A_player) shape."""
     if policy.player != player:
@@ -266,6 +237,8 @@ def bellman_apply(game: TabularLinearMG, h: int, v_next: np.ndarray) -> np.ndarr
 
     ``v_next`` has shape (S,); the result has shape (S, A1, A2).
     """
+    if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or not 0 <= h < game.horizon:
+        raise ConfigError(f"step h={h!r} must be an integer in [0, {game.horizon})")
     v_next = np.asarray(v_next, dtype=np.float64)
     if v_next.shape != (game.n_states,):
         raise ConfigError(f"v_next must have shape ({game.n_states},), got {v_next.shape}")

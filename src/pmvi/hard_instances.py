@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import OfflineDataset, collect_predetermined, count_stats
+from .data import OfflineDataset, _int_matrix, collect_predetermined, count_stats
 from .errors import ConfigError, InvariantError
 from .evaluation import exact_nash_values, suboptimality
 from .games import MarkovPolicy, TabularLinearMG
@@ -118,8 +118,8 @@ def le_cam_pair(
     whose max-player action is 0 or 1; the games are
     ``build_game(1/2 + delta, 1/2 - delta)`` and its swap.
     """
-    schedule = np.asarray(schedule)
-    if schedule.ndim != 2 or schedule.shape[1] != 2:
+    schedule = _int_matrix(schedule, "schedule")
+    if schedule.shape[1] != 2:
         raise ConfigError(f"schedule must have shape (k, 2), got {schedule.shape}")
     if schedule.shape[0] == 0:
         raise ConfigError("schedule has no rows; the pair needs at least one episode")

@@ -14,6 +14,7 @@ identical input bits give identical output bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,8 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
 
-    shift = m.min() - 1.0
+    lo = float(m.min())
+    shift = lo - max(1.0, math.ulp(lo))  # beyond 2**53, ``lo - 1.0`` would round back to ``lo``
     shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
     w, duals, basis = _simplex_max(shifted)
     sol = _equilibrium(m, shift, w, duals)

@@ -110,8 +110,8 @@ def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dic
     ru = _relative_uncertainty(game, output.unit_bonus, nash)
     return {
         "beta": output.beta,
-        "v_lower": output.v_lower.initial(game),
-        "v_upper": output.v_upper.initial(game),
+        "v_lower": float(output.v_lower[0, game.initial_state]),
+        "v_upper": float(output.v_upper[0, game.initial_state]),
         "v_star": report.v_star,
         "v_max_br": report.v_max_br,
         "v_min_br": report.v_min_br,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import OfflineDataset, check_dataset_bounds
 from .errors import ConfigError, InvariantError
-from .games import MarkovPolicy, QTable, TabularLinearMG, VTable, _freeze
+from .games import MarkovPolicy, TabularLinearMG, _freeze
 from .matrix_nash import solve_zero_sum
 
 #: Ridge regularizer of the least-squares step.  The confidence-bonus
@@ -96,7 +96,8 @@ class PmviOutput:
     ``*_aux`` companions are the opposite-side equilibrium strategies of the
     pessimistic resp. optimistic matrices (used by the bound diagnostics).
     ``unit_bonus`` is the beta = 1 bonus the diagnostics reuse; ``bonus`` is
-    ``beta * unit_bonus``, the penalty the pass applied.
+    ``beta * unit_bonus``, the penalty the pass applied.  Every array field,
+    the Q and V tables included, is a read-only float64 array.
     """
 
     beta: float
@@ -104,17 +105,18 @@ class PmviOutput:
     weights_lower: np.ndarray   # (H, d)
     weights_upper: np.ndarray   # (H, d)
     unit_bonus: np.ndarray      # (H, S, A1, A2), sqrt(phi' Lambda_h^-1 phi)
-    q_lower: QTable
-    q_upper: QTable
-    v_lower: VTable
-    v_upper: VTable
+    q_lower: np.ndarray         # (H, S, A1, A2), pessimistic Q
+    q_upper: np.ndarray         # (H, S, A1, A2), optimistic Q
+    v_lower: np.ndarray         # (H, S); V_{H+1} = 0 is implicit
+    v_upper: np.ndarray         # (H, S)
     policy_max: MarkovPolicy      # from the pessimistic matrices
     policy_min_aux: MarkovPolicy  # ditto, opponent side
     policy_max_aux: MarkovPolicy  # from the optimistic matrices
     policy_min: MarkovPolicy      # ditto, output side
 
     def __post_init__(self) -> None:
-        for name in ("gram", "weights_lower", "weights_upper", "unit_bonus"):
+        arrays = ("gram", "weights_lower", "weights_upper", "unit_bonus", "q_lower", "q_upper", "v_lower", "v_upper")
+        for name in arrays:
             object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
 
     @property
@@ -203,10 +205,10 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
         weights_lower=w[0],
         weights_upper=w[1],
         unit_bonus=unit_bonus,
-        q_lower=QTable(q[0]),
-        q_upper=QTable(q[1]),
-        v_lower=VTable(v[0, :h_len]),
-        v_upper=VTable(v[1, :h_len]),
+        q_lower=q[0],
+        q_upper=q[1],
+        v_lower=v[0, :h_len],
+        v_upper=v[1, :h_len],
         policy_max=MarkovPolicy(rows[0], player=1),
         policy_min_aux=MarkovPolicy(cols[0], player=2),
         policy_max_aux=MarkovPolicy(rows[1], player=1),
@@ -232,10 +234,10 @@ def output_to_dict(output: PmviOutput) -> dict:
         "weights_lower": output.weights_lower.tolist(),
         "weights_upper": output.weights_upper.tolist(),
         "bonus": output.bonus.tolist(),
-        "q_lower": output.q_lower.values.tolist(),
-        "q_upper": output.q_upper.values.tolist(),
-        "v_lower": output.v_lower.values.tolist(),
-        "v_upper": output.v_upper.values.tolist(),
+        "q_lower": output.q_lower.tolist(),
+        "q_upper": output.q_upper.tolist(),
+        "v_lower": output.v_lower.tolist(),
+        "v_upper": output.v_upper.tolist(),
         "policy_max": output.policy_max.probs.tolist(),
         "policy_min": output.policy_min.probs.tolist(),
         "policy_max_aux": output.policy_max_aux.probs.tolist(),

@@ -67,6 +67,11 @@ class TestSolveMatrix:
         code, _, err = call(capsys, "solve-matrix", "--matrix", payload)
         assert code == 2 and "payoff matrix" in err
 
+    def test_constant_matrix_beyond_integer_precision(self, capsys):
+        code, out, _ = call(capsys, "solve-matrix", "--matrix", "[[1e17,1e17],[1e17,1e17]]")
+        assert code == 0
+        assert json.loads(out)["value"] == 1e17
+
     def test_nan_tol_is_exit_2_naming_the_flag(self, capsys):
         code, out, err = call(capsys, "solve-matrix", "--matrix", "[[0,1],[1,0]]", "--tol", "nan")
         assert code == 2 and out == ""

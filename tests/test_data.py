@@ -92,6 +92,13 @@ class TestCollectBehavior:
             collect_behavior(three_state, small, p2, 5, np.random.default_rng(0))
 
 
+NON_INTEGER_SCHEDULES = {
+    "floats": [[0.7, 0], [1.0, 2], [1.9, 0]],
+    "bools": np.array([[True, False], [False, True]]),
+    "objects": np.array([[0, 1], [1, 0]], dtype=object),
+}
+
+
 class TestCollectPredetermined:
     def test_schedule_is_respected(self):
         game = pmvi.build_game(0.5, 0.5)
@@ -108,6 +115,12 @@ class TestCollectPredetermined:
     def test_bad_schedule_shape(self, three_state):
         with pytest.raises(ConfigError):
             collect_predetermined(three_state, np.zeros((4, 3), dtype=int), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("schedule", NON_INTEGER_SCHEDULES.values(), ids=NON_INTEGER_SCHEDULES.keys())
+    def test_non_integer_schedule_rejected(self, schedule):
+        game = pmvi.build_game(0.5, 0.5)
+        with pytest.raises(ConfigError, match="schedule must hold integers"):
+            collect_predetermined(game, schedule, np.random.default_rng(0))
 
     def test_out_of_range_schedule(self, three_state):
         schedule = np.array([[0, 0], [5, 0]])
@@ -137,6 +150,17 @@ class TestBalancedSchedule:
         assert balanced_schedule(0, 3).shape == (0, 2)
         with pytest.raises(ConfigError):
             balanced_schedule(-1, 3)
+
+    @pytest.mark.parametrize(
+        "sizes", [(4, 2.5, 2), (4.0, 2), (True, 2), (4, 2, False), (4, np.float64(2))],
+        ids=["float-actions", "float-k", "bool-k", "bool-actions", "numpy-float"],
+    )
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ConfigError, match="must be integers"):
+            balanced_schedule(*sizes)
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(balanced_schedule(np.int64(5), np.int32(2)), balanced_schedule(5, 2))
 
     @pytest.mark.filterwarnings("error")  # no divide-by-zero on the way to the error
     @pytest.mark.parametrize("n_actions", [(2, 0), (0, 3), (-2, 3)])

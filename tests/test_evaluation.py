@@ -59,7 +59,7 @@ class TestExactNashValues:
     def test_frozen_initial_values(self, maker, expected):
         game = maker()
         nash = exact_nash_values(game)
-        assert nash.v_star.initial(game) == pytest.approx(expected, abs=1e-12)
+        assert float(nash.v_star[0, game.initial_state]) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("maker", [pmvi.mixed_bandit, pmvi.three_state_game])
     def test_full_table_matches_rational_oracle(self, maker):
@@ -68,22 +68,22 @@ class TestExactNashValues:
         oracle = exact_nash_value_table(game)
         for h in range(game.horizon):
             for s in range(game.n_states):
-                assert abs(nash.v_star.values[h, s] - float(oracle[h][s])) <= 1e-9
+                assert abs(nash.v_star[h, s] - float(oracle[h][s])) <= 1e-9
 
     @pytest.mark.parametrize("p1,p2", [(0.6, 0.4), (0.5, 0.5), (0.25, 0.75), (0.74, 0.26)])
     def test_first_step_game_value_closed_form(self, p1, p2):
         game = pmvi.build_game(p1, p2)
         nash = exact_nash_values(game)
-        assert nash.v_star.initial(game) == pytest.approx(
+        assert float(nash.v_star[0, game.initial_state]) == pytest.approx(
             (game.horizon - 1) * max(p1, p2), abs=1e-12
         )
 
     def test_equilibrium_pair_is_unexploitable(self):
         game = pmvi.three_state_game()
         nash = exact_nash_values(game)
-        v_star = nash.v_star.initial(game)
-        against_max = best_response_value(game, nash.policy_max)[0].initial(game)
-        against_min = best_response_value(game, nash.policy_min)[0].initial(game)
+        v_star = float(nash.v_star[0, game.initial_state])
+        against_max = float(best_response_value(game, nash.policy_max)[0][0, game.initial_state])
+        against_min = float(best_response_value(game, nash.policy_min)[0][0, game.initial_state])
         assert against_max == pytest.approx(v_star, abs=1e-9)
         assert against_min == pytest.approx(v_star, abs=1e-9)
 
@@ -95,7 +95,7 @@ class TestPolicyValue:
         pol_max, pol_min = random_product_policy(game, seed)
         table = policy_value(game, pol_max, pol_min)
         oracle = trajectory_policy_value(game, pol_max, pol_min)
-        assert table.initial(game) == pytest.approx(float(oracle), abs=1e-12)
+        assert float(table[0, game.initial_state]) == pytest.approx(float(oracle), abs=1e-12)
 
     def test_player_order_enforced(self):
         game = pmvi.three_state_game()
@@ -109,9 +109,9 @@ class TestBestResponse:
         game_a, _ = pmvi.spurious_equilibrium_pair()
         uniform = MarkovPolicy.uniform(game_a, 1)
         value, br = best_response_value(game_a, uniform)
-        assert value.initial(game_a) == pytest.approx(-2.0 / 3.0, abs=1e-12)
+        assert float(value[0, game_a.initial_state]) == pytest.approx(-2.0 / 3.0, abs=1e-12)
         # the returned pure policy attains exactly that value
-        attained = policy_value(game_a, uniform, br).initial(game_a)
+        attained = float(policy_value(game_a, uniform, br)[0, game_a.initial_state])
         assert attained == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("player,seed", [(1, 0), (2, 1), (1, 2), (2, 3)])
@@ -121,7 +121,7 @@ class TestBestResponse:
             np.ones(2), size=(game.horizon, game.n_states)
         )
         policy = MarkovPolicy(probs, player=player)
-        value = best_response_value(game, policy)[0].initial(game)
+        value = float(best_response_value(game, policy)[0][0, game.initial_state])
         assert value == pytest.approx(float(brute_force_best_response(game, policy)), abs=1e-12)
 
 
@@ -165,8 +165,8 @@ class TestSuboptimality:
         game = pmvi.three_state_game()
         pol_max, pol_min = random_product_policy(game, 20 + seed)
         report = suboptimality(game, pol_max, pol_min)
-        assert report.v_min_br == best_response_value(game, pol_max)[0].initial(game)
-        assert report.v_max_br == best_response_value(game, pol_min)[0].initial(game)
+        assert report.v_min_br == float(best_response_value(game, pol_max)[0][0, game.initial_state])
+        assert report.v_max_br == float(best_response_value(game, pol_min)[0][0, game.initial_state])
 
 
     @pytest.mark.parametrize("seed", range(3))
@@ -229,8 +229,8 @@ class TestSandwich:
         nash = exact_nash_values(game)
         report = suboptimality(game, out.policy_max, out.policy_min)
         # pessimism: estimates bracket the true values at the initial state
-        assert out.v_lower.initial(game) <= report.v_min_br + 1e-8
-        assert report.v_max_br <= out.v_upper.initial(game) + 1e-8
+        assert float(out.v_lower[0, game.initial_state]) <= report.v_min_br + 1e-8
+        assert report.v_max_br <= float(out.v_upper[0, game.initial_state]) + 1e-8
         # and the uncertainty-weighted certificate dominates the realized gap
         assert report.sub <= theorem_bound_rhs(game, out, nash) + 1e-8
 
@@ -255,16 +255,29 @@ class TestValueDifference:
             pol_max, pol_min,
         )
         assert total == pytest.approx(advantage + residual, abs=1e-12)
-        direct = out.v_lower.initial(game) - policy_value(game, pol_max, pol_min).initial(game)
+        x = game.initial_state
+        direct = float(out.v_lower[0, x]) - float(policy_value(game, pol_max, pol_min)[0, x])
         assert total == pytest.approx(direct, abs=1e-10)
 
     def test_inconsistent_v_hat_rejected(self):
         game, out = self._run(seed=1)
         pol_max, pol_min = random_product_policy(game, 6)
-        bad_v = pmvi.VTable(out.v_lower.values + 0.05)
+        bad_v = out.v_lower + 0.05
         with pytest.raises(InvariantError, match="bilinear"):
             value_difference(
                 game, out.q_lower, bad_v, out.policy_max, out.policy_min_aux,
+                pol_max, pol_min,
+            )
+
+    @pytest.mark.parametrize("wrong", ["q_hat", "v_hat"])
+    def test_wrong_table_shape_rejected(self, wrong):
+        game, out = self._run(seed=3)
+        pol_max, pol_min = random_product_policy(game, 8)
+        tables = {"q_hat": out.q_lower, "v_hat": out.v_lower}
+        tables[wrong] = tables[wrong][:, :-1]
+        with pytest.raises(ConfigError, match="shape"):
+            value_difference(
+                game, tables["q_hat"], tables["v_hat"], out.policy_max, out.policy_min_aux,
                 pol_max, pol_min,
             )
 
@@ -276,6 +289,29 @@ class TestValueDifference:
                 game, out.q_lower, out.v_lower, out.policy_min_aux, out.policy_max,
                 pol_max, pol_min,
             )
+
+
+def test_value_tables_are_read_only_arrays():
+    game = pmvi.three_state_game()
+    data = collect_behavior(
+        game, MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2), 60, np.random.default_rng(0)
+    )
+    out = run_pmvi(game, data, PmviConfig(beta=0.7))
+    nash = exact_nash_values(game)
+    tables = {
+        "q_lower": out.q_lower,
+        "q_upper": out.q_upper,
+        "v_lower": out.v_lower,
+        "v_upper": out.v_upper,
+        "v_star": nash.v_star,
+        "policy_value": policy_value(game, nash.policy_max, nash.policy_min),
+        "best_response_value": best_response_value(game, nash.policy_max)[0],
+    }
+    for name, table in tables.items():
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64, name
+        assert table.flags.writeable is False, name
+    assert out.q_lower.shape == (game.horizon, game.n_states, game.n_actions_p1, game.n_actions_p2)
+    assert out.v_lower.shape == nash.v_star.shape == (game.horizon, game.n_states)
 
 
 def test_oracle_arithmetic_is_rational():

@@ -15,7 +15,6 @@ from pmvi import (
     MarkovPolicy,
     RegularityWarning,
     TabularLinearMG,
-    VTable,
     bellman_apply,
     one_hot_featurize,
 )
@@ -196,12 +195,6 @@ class TestPolicies:
         assert not pol.probs.flags.writeable
 
 
-def test_tables_accessors():
-    game = pmvi.three_state_game()
-    v3 = VTable(np.zeros((3, 3)))
-    assert v3.initial(game) == 0.0
-
-
 class TestBellmanApply:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -230,6 +223,13 @@ class TestBellmanApply:
         game = pmvi.three_state_game()
         with pytest.raises(ConfigError):
             bellman_apply(game, 0, np.zeros(5))
+
+    @pytest.mark.parametrize("h", [-1, 3, True, 1.0], ids=["minus-one", "horizon", "bool", "float"])
+    def test_step_out_of_range(self, h):
+        game = pmvi.three_state_game()
+        assert game.horizon == 3
+        with pytest.raises(ConfigError, match=f"h={h}"):
+            bellman_apply(game, h, np.zeros(3))
 
 
 class TestSerialization:

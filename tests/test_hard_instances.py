@@ -52,7 +52,7 @@ class TestBuildGame:
     def test_value_scales_with_horizon(self, horizon):
         game = build_game(0.6, 0.4, horizon=horizon)
         nash = exact_nash_values(game)
-        assert nash.v_star.initial(game) == pytest.approx(0.6 * (horizon - 1), abs=1e-9)
+        assert float(nash.v_star[0, game.initial_state]) == pytest.approx(0.6 * (horizon - 1), abs=1e-9)
 
     def test_rejections(self):
         with pytest.raises(ConfigError, match="0.25"):
@@ -100,6 +100,15 @@ class TestLeCamPair:
             le_cam_pair(np.zeros((0, 2), dtype=int))
         with pytest.raises(ConfigError, match="never plays"):
             le_cam_pair(np.array([[2, 0], [2, 1]]))
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [[[0.7, 0], [1.0, 2], [1.9, 0]], np.array([[True, False], [False, True]]), np.array([[0, 1]], dtype=object)],
+        ids=["floats", "bools", "objects"],
+    )
+    def test_non_integer_schedule_rejected(self, schedule):
+        with pytest.raises(ConfigError, match="schedule must hold integers"):
+            le_cam_pair(schedule)
 
 
 class TestDatasetKL:

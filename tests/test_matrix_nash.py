@@ -38,6 +38,15 @@ def test_single_cell():
     assert sol.col_strategy.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("c", [2.0**53, -(2.0**53), 1e17, -1e17, 1e300, -1e300])
+def test_constant_matrix_beyond_integer_precision(c, shape):
+    # here c - 1.0 rounds back to c, so a shift of one would zero every entry
+    sol = solve_zero_sum(np.full(shape, c))
+    assert sol.value == c
+    assert sol.exploitability == 0.0
+
+
 def test_zero_matrix_everything_optimal():
     sol = solve_zero_sum(np.zeros((3, 4)))
     assert sol.value == pytest.approx(0.0, abs=1e-12)

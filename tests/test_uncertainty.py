@@ -241,8 +241,8 @@ class TestComputeOnce:
         iota_lo, iota_up = pmvi.bellman_error_tables(game, out)
         expected = {
             "beta": out.beta,
-            "v_lower": out.v_lower.initial(game),
-            "v_upper": out.v_upper.initial(game),
+            "v_lower": float(out.v_lower[0, game.initial_state]),
+            "v_upper": float(out.v_upper[0, game.initial_state]),
             "v_star": report.v_star,
             "v_max_br": report.v_max_br,
             "v_min_br": report.v_min_br,

@@ -212,8 +212,8 @@ class TestSufficientStatistics:
         data = behavior_data(game, 300, seed=6)
         out = run_pmvi(game, data, PmviConfig(beta=0.3))
         gram = per_sample_gram(game, data)
-        v_lo = np.vstack([out.v_lower.values, np.zeros((1, game.n_states))])
-        v_up = np.vstack([out.v_upper.values, np.zeros((1, game.n_states))])
+        v_lo = np.vstack([out.v_lower, np.zeros((1, game.n_states))])
+        v_up = np.vstack([out.v_upper, np.zeros((1, game.n_states))])
         for h in range(game.horizon):
             phi = game.features[data.states[:, h], data.actions_p1[:, h], data.actions_p2[:, h]]
             for v, got in ((v_lo, out.weights_lower[h]), (v_up, out.weights_upper[h])):
@@ -242,22 +242,22 @@ class TestBackwardPass:
         assert np.allclose(out.weights_lower[0], expected_w, atol=1e-12)
         assert np.array_equal(out.weights_lower, out.weights_upper)
         # with beta = 0 the two Q estimates coincide
-        assert np.array_equal(out.q_lower.values, out.q_upper.values)
-        assert out.q_lower.values[0, 0, 0, 0] == pytest.approx(r / 2.0, abs=1e-12)
-        assert np.all(out.q_lower.values[0, 0][1:, :] == 0.0)
+        assert np.array_equal(out.q_lower, out.q_upper)
+        assert out.q_lower[0, 0, 0, 0] == pytest.approx(r / 2.0, abs=1e-12)
+        assert np.all(out.q_lower[0, 0][1:, :] == 0.0)
 
     def test_empty_dataset_collapses_to_prior(self):
         game = pmvi.three_state_game()
         data = behavior_data(game, 0, seed=0)
         beta = 0.4
         out = run_pmvi(game, data, PmviConfig(beta=beta))
-        assert np.all(out.v_lower.values == 0.0)
-        assert np.all(out.q_lower.values == 0.0)
+        assert np.all(out.v_lower == 0.0)
+        assert np.all(out.q_lower == 0.0)
         # unseen one-hot cells carry unit bonus, so Q_up = min(beta, cap)
         for h in range(3):
             cap = 3.0 - h
-            assert np.allclose(out.q_upper.values[h], min(beta, cap), atol=1e-12)
-            assert np.allclose(out.v_upper.values[h], min(beta, cap), atol=1e-12)
+            assert np.allclose(out.q_upper[h], min(beta, cap), atol=1e-12)
+            assert np.allclose(out.v_upper[h], min(beta, cap), atol=1e-12)
         assert np.allclose(out.bonus, beta, atol=1e-12)
 
     def test_truncation_caps_remaining_return(self):
@@ -266,14 +266,14 @@ class TestBackwardPass:
         out = run_pmvi(game, data, PmviConfig(beta=5.0))
         for h in range(game.horizon):
             cap = game.horizon - h
-            for table in (out.q_lower.values[h], out.q_upper.values[h]):
+            for table in (out.q_lower[h], out.q_upper[h]):
                 assert table.min() >= 0.0
                 assert table.max() <= cap
-            assert out.v_lower.values[h].min() >= 0.0
-            assert out.v_upper.values[h].max() <= cap
+            assert out.v_lower[h].min() >= 0.0
+            assert out.v_upper[h].max() <= cap
         # pessimistic below optimistic throughout
-        assert np.all(out.q_lower.values <= out.q_upper.values + 1e-12)
-        assert np.all(out.v_lower.values <= out.v_upper.values + 1e-12)
+        assert np.all(out.q_lower <= out.q_upper + 1e-12)
+        assert np.all(out.v_lower <= out.v_upper + 1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weight_norms_bounded(self, seed):
@@ -294,7 +294,7 @@ class TestBackwardPass:
         for name in ("gram", "weights_lower", "weights_upper", "bonus"):
             assert np.array_equal(getattr(out1, name), getattr(out2, name)), name
         for name in ("q_lower", "q_upper", "v_lower", "v_upper"):
-            assert np.array_equal(getattr(out1, name).values, getattr(out2, name).values), name
+            assert np.array_equal(getattr(out1, name), getattr(out2, name)), name
         for name in ("policy_max", "policy_min", "policy_max_aux", "policy_min_aux"):
             assert np.array_equal(getattr(out1, name).probs, getattr(out2, name).probs), name
 
