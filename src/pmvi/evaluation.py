@@ -6,7 +6,7 @@ sampling.  The conventions:
 - ``exact_nash_values``: backward induction where each stage matrix is solved
   as a zero-sum game; gives V* and one equilibrium policy pair.
 - ``best_response_value``: value of a fixed Markov policy against the
-  opponent's exact best response (which may be taken pure).
+  opponent's exact best response.
 - ``suboptimality``: the duality-gap performance measure of a policy pair
   ``sub = V^{*,nu}(x) - V^{pi,*}(x)`` together with the weaker gap
   ``subb = |V*(x) - V^{pi,nu}(x)|``.
@@ -91,48 +91,35 @@ def policy_value(game: TabularLinearMG, policy_max: MarkovPolicy, policy_min: Ma
     return _freeze(v[: game.horizon])
 
 
-def best_response_value(
-    game: TabularLinearMG, policy: MarkovPolicy
-) -> tuple[np.ndarray, MarkovPolicy]:
-    """Fix one player's Markov policy; return the opponent's exact best
-    response value table (read-only, shape (H, S)) and a pure policy attaining it.
+def best_response_value(game: TabularLinearMG, policy: MarkovPolicy) -> np.ndarray:
+    """Fix one player's Markov policy; the opponent's exact best response
+    value table, read-only, shape (H, S).
 
     For a max-player policy pi this is V^{pi,*} (opponent minimizes); for a
     min-player policy nu it is V^{*,nu} (opponent maximizes).
     """
-    pick = np.argmin if policy.player == 1 else np.argmax
-    v, actions = _response_dp(game, game.reward, policy, pick)
-    br_player = 2 if policy.player == 1 else 1
-    return _freeze(v), MarkovPolicy.pure(game, br_player, actions)
+    reduce = np.min if policy.player == 1 else np.max
+    return _freeze(_response_dp(game, game.reward, policy, reduce))
 
 
-def _response_dp(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, pick) -> tuple:
+def _response_dp(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, reduce) -> np.ndarray:
     """Backward DP against a fixed Markov policy.
 
     The free player (the opponent of ``fixed``) collects the per-step payoffs
-    ``tables`` (H, S, A1, A2) and at every (h, s) takes the action that
-    ``pick`` (``np.argmax`` or ``np.argmin``; ties go to the smallest index)
-    selects from its payoff-to-go averaged over ``fixed``.  Returns the
-    values (H, S) and the picked actions (H, S); no policy is built.
+    ``tables`` (H, S, A1, A2) and at every (h, s) takes the ``reduce``
+    (``np.max`` or ``np.min``) of its payoff-to-go averaged over ``fixed``.
+    Returns the values, shape (H, S).
     """
     _check_policy(game, fixed, fixed.player)
     v = np.zeros((game.horizon + 1, game.n_states))
-    actions = np.zeros((game.horizon, game.n_states), dtype=np.int64)
-    states = np.arange(game.n_states)
     for h in reversed(range(game.horizon)):
         stage = tables[h] + game.transition[h] @ v[h + 1]
         if fixed.player == 1:
             avg = np.einsum("sa,sab->sb", fixed.probs[h], stage)
         else:
             avg = np.einsum("sb,sab->sa", fixed.probs[h], stage)
-        actions[h] = pick(avg, axis=1)
-        v[h] = avg[states, actions[h]]
-    return v[: game.horizon], actions
-
-
-def _response_value(game: TabularLinearMG, tables: np.ndarray, fixed: MarkovPolicy, pick) -> float:
-    """The :func:`_response_dp` value from the initial state."""
-    return float(_response_dp(game, tables, fixed, pick)[0][0, game.initial_state])
+        v[h] = reduce(avg, axis=1)
+    return v[: game.horizon]
 
 
 def suboptimality(
@@ -156,8 +143,8 @@ def suboptimality(
             f"{(game.horizon, game.n_states)}"
         )
     v_star = float(nash.v_star[0, game.initial_state])
-    v_min_br = _response_value(game, game.reward, policy_max, np.argmin)
-    v_max_br = _response_value(game, game.reward, policy_min, np.argmax)
+    v_min_br = float(best_response_value(game, policy_max)[0, game.initial_state])
+    v_max_br = float(best_response_value(game, policy_min)[0, game.initial_state])
     v_pair = float(policy_value(game, policy_max, policy_min)[0, game.initial_state])
     if not (v_min_br <= v_star + _CHAIN_ATOL and v_star <= v_max_br + _CHAIN_ATOL):
         raise InvariantError(

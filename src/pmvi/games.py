@@ -213,15 +213,6 @@ class MarkovPolicy:
         probs = np.full((game.horizon, game.n_states, n_actions), 1.0 / n_actions)
         return cls(probs, player)
 
-    @classmethod
-    def pure(cls, game: TabularLinearMG, player: int, actions) -> "MarkovPolicy":
-        """Deterministic policy; ``actions`` is a scalar or an (H, S) int array."""
-        n_actions = game.n_actions_p1 if player == 1 else game.n_actions_p2
-        idx = np.broadcast_to(np.asarray(actions, dtype=np.int64), (game.horizon, game.n_states))
-        if idx.min() < 0 or idx.max() >= n_actions:
-            raise ConfigError("pure-policy action index out of range")
-        return cls(np.eye(n_actions)[idx], player)
-
 
 def _check_policy(game: TabularLinearMG, policy: MarkovPolicy, player: int) -> None:
     """``policy`` belongs to ``player`` and has the game's (H, S, A_player) shape."""
@@ -301,17 +292,23 @@ def game_to_dict(game: TabularLinearMG) -> dict:
 
 
 def game_from_dict(doc: dict) -> TabularLinearMG:
+    """The game of a :func:`game_to_dict` document; its ``states`` count or name list must fit."""
     try:
         states = doc["states"]
-        labels = tuple(states) if isinstance(states, list) else None
         transition = doc["transition"]
         reward = doc["reward"]
         initial_state = doc.get("initial_state", 0)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed game document: missing {exc}") from exc
+    if isinstance(states, list) and all(isinstance(name, str) for name in states):
+        labels = tuple(states)
+    elif isinstance(states, int) and not isinstance(states, bool):
+        labels = None
+    else:
+        raise ConfigError(f"states must be a state count or a list of state names, got {states!r:.60}")
     linear_keys = [k for k in ("features", "theta", "mu") if k in doc]
     if len(linear_keys) == 3:
-        return TabularLinearMG(
+        game = TabularLinearMG(
             transition=transition,
             reward=reward,
             features=doc["features"],
@@ -320,9 +317,13 @@ def game_from_dict(doc: dict) -> TabularLinearMG:
             initial_state=initial_state,
             state_labels=labels,
         )
-    if linear_keys:
+    elif linear_keys:
         raise ConfigError("features/theta/mu must be given together or omitted together")
-    return one_hot_featurize(transition, reward, initial_state=initial_state, state_labels=labels)
+    else:
+        game = one_hot_featurize(transition, reward, initial_state=initial_state, state_labels=labels)
+    if labels is None and states != game.n_states:
+        raise ConfigError(f"states = {states} does not match the transition's {game.n_states} states")
+    return game
 
 
 def save_game(game: TabularLinearMG, path) -> None:

@@ -159,8 +159,10 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
 
-    lo = float(m.min())
+    lo, hi = float(m.min()), float(m.max())
     shift = lo - max(1.0, math.ulp(lo))  # beyond 2**53, ``lo - 1.0`` would round back to ``lo``
+    if not (math.isfinite(shift) and math.isfinite(hi - shift)):
+        raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they overflow float64")
     shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
     w, duals, basis = _simplex_max(shifted)
     sol = _equilibrium(m, shift, w, duals)

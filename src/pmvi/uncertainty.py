@@ -29,7 +29,6 @@ from .evaluation import (
     _check_tables,
     _occupancy,
     _response_dp,
-    _response_value,
     bellman_error_tables,
     exact_nash_values,
     sandwich_holds,
@@ -54,21 +53,10 @@ class RUReport:
     ru_min_side: float
 
 
-def bonus_value_dp(
-    game: TabularLinearMG,
-    tables: np.ndarray,
-    fixed_policy: MarkovPolicy,
-) -> tuple[float, MarkovPolicy]:
-    """Max expected total of per-step ``tables`` when one side is fixed.
-
-    The free player (the opponent of ``fixed_policy``) maximises
-    ``E[sum_h tables[h, s_h, a_h, b_h]]``; ties between actions resolve to
-    the smallest index.  Returns the optimum from the initial state and a
-    pure maximising policy.
-    """
-    values, actions = _response_dp(game, _check_tables(game, tables), fixed_policy, np.argmax)
-    free_player = 2 if fixed_policy.player == 1 else 1
-    return float(values[0, game.initial_state]), MarkovPolicy.pure(game, free_player, actions)
+def bonus_value_dp(game: TabularLinearMG, tables: np.ndarray, fixed_policy: MarkovPolicy) -> float:
+    """Max expected total ``E[sum_h tables[h, s_h, a_h, b_h]]`` from the initial state
+    over the policies of the free player, the opponent of ``fixed_policy``."""
+    return float(_response_dp(game, _check_tables(game, tables), fixed_policy, np.max)[0, game.initial_state])
 
 
 def relative_uncertainty(
@@ -92,8 +80,8 @@ def _relative_uncertainty(game: TabularLinearMG, unit: np.ndarray, nash: NashVal
     """RU from a ready unit-bonus table (H, S, A1, A2)."""
     _check_policy(game, nash.policy_max, 1)
     _check_policy(game, nash.policy_min, 2)
-    min_side = _response_value(game, unit, nash.policy_max, np.argmax)
-    max_side = _response_value(game, unit, nash.policy_min, np.argmax)
+    min_side = bonus_value_dp(game, unit, nash.policy_max)
+    max_side = bonus_value_dp(game, unit, nash.policy_min)
     return RUReport(ru=max(max_side, min_side), ru_max_side=max_side, ru_min_side=min_side)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written with different machinery than the
 package: exact rational arithmetic, support enumeration instead of linear
 programming, and forward trajectory enumeration instead of vectorized
-backward passes.  Nothing here imports ``pmvi``.  The matrix-game oracle
+backward passes.  Nothing here imports ``pmvi`` beyond its ``MarkovPolicy``
+container, for :func:`pure_policy`.  The matrix-game oracle
 scales its input exactly to integers and solves each square kernel by
 integer Cramer's rule (adjugate and determinant), with no floats and no
 simplex or LP anywhere in the search; it builds ``Fraction``s only for the
@@ -202,15 +203,23 @@ def deterministic_policies(game, player: int):
         yield np.asarray(combo, dtype=np.int64).reshape(game.horizon, game.n_states)
 
 
+def pure_policy(game, player: int, actions):
+    """The deterministic ``MarkovPolicy`` of ``player`` that plays ``actions``
+    (a scalar or an (H, S) integer table) at every (h, s)."""
+    from pmvi import MarkovPolicy
+
+    n_actions = game.n_actions_p1 if player == 1 else game.n_actions_p2
+    idx = np.broadcast_to(np.asarray(actions, dtype=np.int64), (game.horizon, game.n_states))
+    return MarkovPolicy(np.eye(n_actions)[idx], player)
+
+
 def brute_force_best_response(game, policy) -> Fraction:
     """Exact best-response value against a fixed policy: min over deterministic
     opponents if the fixed side is the max player, max otherwise."""
-    from pmvi import MarkovPolicy
-
     free = 2 if policy.player == 1 else 1
     best: Fraction | None = None
     for actions in deterministic_policies(game, free):
-        pure = MarkovPolicy.pure(game, free, actions)
+        pure = pure_policy(game, free, actions)
         pair = (policy, pure) if free == 2 else (pure, policy)
         value = trajectory_policy_value(game, pair[0], pair[1])
         if best is None:
@@ -225,12 +234,10 @@ def brute_force_best_response(game, policy) -> Fraction:
 
 def brute_force_max_total(game, tables, fixed_policy) -> Fraction:
     """Exact sup over the free player's policies of E[sum_h tables]."""
-    from pmvi import MarkovPolicy
-
     free = 2 if fixed_policy.player == 1 else 1
     best: Fraction | None = None
     for actions in deterministic_policies(game, free):
-        pure = MarkovPolicy.pure(game, free, actions)
+        pure = pure_policy(game, free, actions)
         pair = (fixed_policy, pure) if free == 2 else (pure, fixed_policy)
         value = trajectory_expected_total(game, pair[0], pair[1], tables)
         if best is None or value > best:

@@ -60,6 +60,11 @@ class TestSolveMatrix:
         assert code == 2 and "error:" in err
         code, _, err = call(capsys, "solve-matrix", "--matrix", "[[1,2],[NaN,0]]")
         assert code == 2
+        # finite entries whose shift to >= 1 overflows float64
+        for payload in ("[[-1.7976931348623157e308]]", "[[1e308,-1e308]]"):
+            code, out, err = call(capsys, "solve-matrix", "--matrix", payload)
+            assert code == 2 and out == ""
+            assert "payoff entries span" in err and "Warning" not in err
 
 
     @pytest.mark.parametrize("payload", ["[[1,2],[3]]", '"abc"', '{"a": 1}'])
@@ -169,6 +174,7 @@ class TestRun:
             ("initial_state", True),
             ("reward", "x"),
             ("reward", [[0.5, 0.5], [0.5]]),
+            ("states", 5),
         ],
     )
     def test_malformed_game_file_is_exit_2(self, capsys, tmp_path, field, value):

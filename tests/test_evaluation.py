@@ -82,8 +82,8 @@ class TestExactNashValues:
         game = pmvi.three_state_game()
         nash = exact_nash_values(game)
         v_star = float(nash.v_star[0, game.initial_state])
-        against_max = float(best_response_value(game, nash.policy_max)[0][0, game.initial_state])
-        against_min = float(best_response_value(game, nash.policy_min)[0][0, game.initial_state])
+        against_max = float(best_response_value(game, nash.policy_max)[0, game.initial_state])
+        against_min = float(best_response_value(game, nash.policy_min)[0, game.initial_state])
         assert against_max == pytest.approx(v_star, abs=1e-9)
         assert against_min == pytest.approx(v_star, abs=1e-9)
 
@@ -108,11 +108,8 @@ class TestBestResponse:
     def test_uniform_row_play_is_exploitable(self):
         game_a, _ = pmvi.spurious_equilibrium_pair()
         uniform = MarkovPolicy.uniform(game_a, 1)
-        value, br = best_response_value(game_a, uniform)
+        value = best_response_value(game_a, uniform)
         assert float(value[0, game_a.initial_state]) == pytest.approx(-2.0 / 3.0, abs=1e-12)
-        # the returned pure policy attains exactly that value
-        attained = float(policy_value(game_a, uniform, br)[0, game_a.initial_state])
-        assert attained == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("player,seed", [(1, 0), (2, 1), (1, 2), (2, 3)])
     def test_matches_exhaustive_search(self, player, seed):
@@ -121,7 +118,7 @@ class TestBestResponse:
             np.ones(2), size=(game.horizon, game.n_states)
         )
         policy = MarkovPolicy(probs, player=player)
-        value = float(best_response_value(game, policy)[0][0, game.initial_state])
+        value = float(best_response_value(game, policy)[0, game.initial_state])
         assert value == pytest.approx(float(brute_force_best_response(game, policy)), abs=1e-12)
 
 
@@ -165,8 +162,8 @@ class TestSuboptimality:
         game = pmvi.three_state_game()
         pol_max, pol_min = random_product_policy(game, 20 + seed)
         report = suboptimality(game, pol_max, pol_min)
-        assert report.v_min_br == float(best_response_value(game, pol_max)[0][0, game.initial_state])
-        assert report.v_max_br == float(best_response_value(game, pol_min)[0][0, game.initial_state])
+        assert report.v_min_br == float(best_response_value(game, pol_max)[0, game.initial_state])
+        assert report.v_max_br == float(best_response_value(game, pol_min)[0, game.initial_state])
 
 
     @pytest.mark.parametrize("seed", range(3))
@@ -305,7 +302,7 @@ def test_value_tables_are_read_only_arrays():
         "v_upper": out.v_upper,
         "v_star": nash.v_star,
         "policy_value": policy_value(game, nash.policy_max, nash.policy_min),
-        "best_response_value": best_response_value(game, nash.policy_max)[0],
+        "best_response_value": best_response_value(game, nash.policy_max),
     }
     for name, table in tables.items():
         assert isinstance(table, np.ndarray) and table.dtype == np.float64, name

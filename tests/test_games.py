@@ -165,21 +165,6 @@ class TestPolicies:
         assert pol.probs.shape == (3, 3, 2)
         assert np.allclose(pol.probs, 0.5)
 
-    def test_pure_scalar_and_table(self):
-        game = pmvi.three_state_game()
-        pol = MarkovPolicy.pure(game, 1, 1)
-        assert np.array_equal(pol.probs[..., 1], np.ones((3, 3)))
-        actions = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
-        pol2 = MarkovPolicy.pure(game, 1, actions)
-        for h in range(3):
-            for s in range(3):
-                assert pol2.probs[h, s, actions[h, s]] == 1.0
-
-    def test_pure_out_of_range(self):
-        game = pmvi.three_state_game()
-        with pytest.raises(ConfigError):
-            MarkovPolicy.pure(game, 1, 5)
-
     def test_rows_must_be_simplex(self):
         with pytest.raises(InvariantError):
             MarkovPolicy(np.full((1, 1, 2), 0.7), player=1)
@@ -279,6 +264,14 @@ class TestSerialization:
             ("reward", [[0.5, 0.5], [0.5]]),
             ("transition", {"a": 1}),
             ("features", [[[[1.0]]], "y"]),
+            ("states", 5),
+            ("states", 2),
+            ("states", "abc"),
+            ("states", None),
+            ("states", 3.0),
+            ("states", True),
+            ("states", [1, 2, 3]),
+            ("states", ["start", "win"]),
         ],
     )
     def test_malformed_field_rejected(self, field, value):

@@ -18,6 +18,7 @@ from pmvi import (
     le_cam_pair,
     run_lower_bound_experiment,
 )
+from oracles import pure_policy
 
 
 def bernoulli_kl(p, q):
@@ -193,7 +194,7 @@ def equilibrium_algorithm(game, dataset):
 
 
 def stubborn_algorithm(game, dataset):
-    return MarkovPolicy.pure(game, 1, 2), MarkovPolicy.uniform(game, 2)
+    return pure_policy(game, 1, 2), MarkovPolicy.uniform(game, 2)
 
 
 def uniform_algorithm(game, dataset):

@@ -178,6 +178,11 @@ def test_rejects_bad_inputs():
         solve_zero_sum(np.array([1.0, 2.0]))
     with pytest.raises(ConfigError):
         solve_zero_sum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # finite entries whose shift to >= 1 overflows float64
+    with pytest.raises(ConfigError, match=r"payoff entries span \[-1.7976931348623157e\+308, "):
+        solve_zero_sum([[-1.7976931348623157e308]])
+    with pytest.raises(ConfigError, match=r"payoff entries span \[-1e\+308, 1e\+308\]"):
+        solve_zero_sum([[1e308, -1e308]])
     with pytest.raises(ConfigError):
         solve_zero_sum(np.eye(2), tol=0.0)
 

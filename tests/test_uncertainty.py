@@ -24,7 +24,7 @@ from pmvi import (
 )
 from pmvi.cli import main
 from pmvi.evaluation import _response_dp
-from oracles import brute_force_max_total
+from oracles import brute_force_max_total, pure_policy
 
 
 def uniform_pair(game):
@@ -57,21 +57,15 @@ class TestBonusValueDP:
         fixed = MarkovPolicy(
             rng.dirichlet(np.ones(2), size=(3, 3)), player=fixed_player
         )
-        value, roaming = bonus_value_dp(game, tables, fixed)
+        value = bonus_value_dp(game, tables, fixed)
         assert value == pytest.approx(
             float(brute_force_max_total(game, tables, fixed)), abs=1e-12
-        )
-        # the returned pure policy realises the optimum
-        pair = (roaming, fixed) if fixed_player == 2 else (fixed, roaming)
-        assert pmvi.expected_total(game, pair[0], pair[1], tables) == pytest.approx(
-            value, abs=1e-12
         )
 
     def test_ties_resolve_to_smallest_action(self):
         game = pmvi.three_state_game()
-        value, roaming = bonus_value_dp(game, np.full((3, 3, 2, 2), 0.25), uniform_pair(game)[0])
+        value = bonus_value_dp(game, np.full((3, 3, 2, 2), 0.25), uniform_pair(game)[0])
         assert value == pytest.approx(0.75, abs=1e-12)
-        assert np.all(roaming.probs[..., 0] == 1.0)
 
     def test_shape_check(self):
         game = pmvi.three_state_game()
@@ -88,10 +82,8 @@ class TestBonusValueDP:
         unit = pmvi.bonus_tables(game, pmvi.gram_matrices(game, data))
         nash = pmvi.exact_nash_values(game)
         for fixed in (nash.policy_max, nash.policy_min, *uniform_pair(game)):
-            value, roaming = bonus_value_dp(game, unit, fixed)
-            values, actions = _response_dp(game, unit, fixed, np.argmax)
-            assert values[0, game.initial_state] == value
-            assert np.array_equal(roaming.probs.argmax(axis=-1), actions)
+            value = bonus_value_dp(game, unit, fixed)
+            assert _response_dp(game, unit, fixed, np.max)[0, game.initial_state] == value
 
 
 class TestRelativeUncertainty:
@@ -142,7 +134,7 @@ class TestWellExplored:
 
     def test_pure_play_is_degenerate(self):
         game = pmvi.cyclic_bandit()
-        pair = (MarkovPolicy.pure(game, 1, 0), MarkovPolicy.pure(game, 2, 0))
+        pair = (pure_policy(game, 1, 0), pure_policy(game, 2, 0))
         lams = well_explored_check(game, *pair)
         assert lams[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -210,11 +202,20 @@ class TestComputeOnce:
                 "value_iteration.gram_matrices",
                 "value_iteration.bonus_tables",
                 "evaluation.exact_nash_values",
+                "evaluation.best_response_value",
+                "uncertainty.bonus_value_dp",
             )
         }
         assert main(["run", "--game", "three-state", "--k", "300"]) == 0
         assert json.loads(capsys.readouterr().out)["sandwich_ok"] in (True, False)
-        assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 1)
+        # one best response / one bonus DP per side of sub and of RU
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "value_iteration.gram_matrices": 1,
+            "value_iteration.bonus_tables": 1,
+            "evaluation.exact_nash_values": 1,
+            "evaluation.best_response_value": 2,
+            "uncertainty.bonus_value_dp": 2,
+        }
 
     def test_lower_bound_solves_each_game_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "evaluation.exact_nash_values")
