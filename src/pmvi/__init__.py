@@ -39,7 +39,6 @@ from .games import (
     PAYOFF_CYCLIC,
     PAYOFF_MIXED,
     MarkovPolicy,
-    RegularityWarning,
     TabularLinearMG,
     bandit_game,
     bellman_apply,
@@ -100,7 +99,6 @@ __all__ = [
     "PmviConfig",
     "PmviError",
     "PmviOutput",
-    "RegularityWarning",
     "RUReport",
     "SolverError",
     "TabularLinearMG",

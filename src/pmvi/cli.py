@@ -63,8 +63,10 @@ def _load_game_spec(spec: str) -> TabularLinearMG:
         for item in spec[len("hard:") :].split(","):
             if "=" not in item:
                 raise ConfigError(f"bad hard-instance field {item!r}; expected key=value")
-            key, value = item.split("=", 1)
-            fields[key.strip()] = value.strip()
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key in fields:
+                raise ConfigError(f"hard-instance field {key!r} given twice")
+            fields[key] = value
         try:
             p1 = float(fields.pop("p1"))
             p2 = float(fields.pop("p2"))

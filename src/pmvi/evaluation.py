@@ -126,18 +126,13 @@ def suboptimality(
     game: TabularLinearMG,
     policy_max: MarkovPolicy,
     policy_min: MarkovPolicy,
-    nash: NashValues | None = None,
+    nash: NashValues,
 ) -> EvaluationReport:
     """Exact duality-gap report for a policy pair from the initial state.
 
-    ``nash`` is the game's :func:`exact_nash_values`; it is computed when
-    omitted, so a caller that already holds it saves the solves.
+    ``nash`` is the game's :func:`exact_nash_values`.
     """
-    _check_policy(game, policy_max, 1)
-    _check_policy(game, policy_min, 2)
-    if nash is None:
-        nash = exact_nash_values(game)
-    elif nash.v_star.shape != (game.horizon, game.n_states):
+    if nash.v_star.shape != (game.horizon, game.n_states):
         raise ConfigError(
             f"nash tables of shape {nash.v_star.shape} do not match the game "
             f"{(game.horizon, game.n_states)}"

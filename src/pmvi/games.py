@@ -17,16 +17,14 @@ For a plain tabular game, :func:`one_hot_featurize` supplies the canonical
 indicator embedding with ``d = S * A1 * A2``.
 
 Regularity conventions (``|phi| <= 1``, ``|theta_h| <= sqrt(d)``,
-``|sum_s' mu_h(s')| <= sqrt(d)``, rewards in [0, 1]) are enforced as hard
-errors under ``validation="strict"`` and demoted to :class:`RegularityWarning`
-under ``validation="warn"``; structural facts (shapes, stochasticity, exact
-factorization) are always hard errors.
+``|sum_s' mu_h(s')| <= sqrt(d)``, rewards in [0, 1]) are hard errors unless
+the game is built with ``check_regularity=False``; structural facts (shapes,
+stochasticity, exact factorization) are always hard errors.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,10 +36,6 @@ STOCHASTIC_ATOL = 1e-12
 FACTORIZATION_ATOL = 1e-10
 SIMPLEX_ATOL = 1e-12
 _NORM_SLACK = 1e-9
-
-
-class RegularityWarning(UserWarning):
-    """A soft regularity convention (norm bound / reward range) is violated."""
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -82,11 +76,9 @@ class TabularLinearMG:
     mu: np.ndarray
     initial_state: int = 0
     state_labels: tuple[str, ...] | None = None
-    validation: str = "strict"
+    check_regularity: bool = True
 
     def __post_init__(self) -> None:
-        if self.validation not in ("strict", "warn"):
-            raise ConfigError(f"unknown validation mode {self.validation!r}")
         if isinstance(self.initial_state, bool) or not isinstance(self.initial_state, (int, np.integer)):
             raise ConfigError(f"initial_state must be an integer, got {self.initial_state!r}")
         object.__setattr__(self, "initial_state", int(self.initial_state))
@@ -95,7 +87,8 @@ class TabularLinearMG:
         self._check_shapes()
         self._check_stochasticity()
         self._check_factorization()
-        self._check_regularity()
+        if self.check_regularity:
+            self._check_regularity()
 
     # -- sizes ----------------------------------------------------------------
 
@@ -162,25 +155,20 @@ class TabularLinearMG:
             raise InvariantError(f"transition is not linear in the features (worst error {err_p:.3e})")
 
     def _check_regularity(self) -> None:
-        problems: list[str] = []
         sqrt_d = np.sqrt(self.dim)
         feat_norm = np.linalg.norm(self.features, axis=-1).max()
         if feat_norm > 1.0 + _NORM_SLACK:
-            problems.append(f"max |phi| = {feat_norm:.6g} exceeds 1")
+            raise InvariantError(f"max |phi| = {feat_norm:.6g} exceeds 1")
         theta_norm = np.linalg.norm(self.theta, axis=-1).max()
         if theta_norm > sqrt_d + _NORM_SLACK:
-            problems.append(f"max |theta_h| = {theta_norm:.6g} exceeds sqrt(d) = {sqrt_d:.6g}")
+            raise InvariantError(f"max |theta_h| = {theta_norm:.6g} exceeds sqrt(d) = {sqrt_d:.6g}")
         mu_total = np.linalg.norm(self.mu.sum(axis=1), axis=-1).max()
         if mu_total > sqrt_d + _NORM_SLACK:
-            problems.append(f"max |mu_h(S)| = {mu_total:.6g} exceeds sqrt(d) = {sqrt_d:.6g}")
+            raise InvariantError(f"max |mu_h(S)| = {mu_total:.6g} exceeds sqrt(d) = {sqrt_d:.6g}")
         if self.reward.min() < -STOCHASTIC_ATOL or self.reward.max() > 1.0 + STOCHASTIC_ATOL:
-            problems.append(
+            raise InvariantError(
                 f"rewards lie in [{self.reward.min():.6g}, {self.reward.max():.6g}], outside [0, 1]"
             )
-        for msg in problems:
-            if self.validation == "strict":
-                raise InvariantError(msg)
-            warnings.warn(msg, RegularityWarning, stacklevel=4)
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,7 @@ def one_hot_featurize(
     reward,
     initial_state: int = 0,
     state_labels: tuple[str, ...] | None = None,
-    validation: str = "strict",
+    check_regularity: bool = True,
 ) -> TabularLinearMG:
     """Wrap raw (P, r) tensors with the canonical indicator feature map.
 
@@ -268,7 +256,7 @@ def one_hot_featurize(
         mu=mu,
         initial_state=initial_state,
         state_labels=state_labels,
-        validation=validation,
+        check_regularity=check_regularity,
     )
 
 
@@ -292,7 +280,7 @@ def game_to_dict(game: TabularLinearMG) -> dict:
 
 
 def game_from_dict(doc: dict) -> TabularLinearMG:
-    """The game of a :func:`game_to_dict` document; its ``states`` count or name list must fit."""
+    """The game of a :func:`game_to_dict` document; its ``states`` and size fields must fit it."""
     try:
         states = doc["states"]
         transition = doc["transition"]
@@ -323,6 +311,10 @@ def game_from_dict(doc: dict) -> TabularLinearMG:
         game = one_hot_featurize(transition, reward, initial_state=initial_state, state_labels=labels)
     if labels is None and states != game.n_states:
         raise ConfigError(f"states = {states} does not match the transition's {game.n_states} states")
+    for key, size in (("horizon", game.horizon), ("actions_p1", game.n_actions_p1), ("actions_p2", game.n_actions_p2)):
+        value = doc.get(key, size)
+        if isinstance(value, bool) or not isinstance(value, int) or value != size:
+            raise ConfigError(f"{key} = {value!r:.60} does not match the transition's size {size}")
     return game
 
 
@@ -341,7 +333,7 @@ def load_game(path) -> TabularLinearMG:
 # -- built-in games -------------------------------------------------------------
 
 #: 3x3 payoff whose unique equilibrium is the pure pair (row 1, col 1), value 0.
-#: Payoffs fall outside [0, 1], so these bandits are built in "warn" mode.
+#: Payoffs fall outside [0, 1], so these bandits skip the regularity check.
 PAYOFF_A = ((0.5, -1.0, 0.0), (1.0, 0.0, 1.0), (0.0, -1.0, 0.0))
 #: Companion 3x3 payoff with unique pure equilibrium (row 2, col 2), value 0.
 PAYOFF_B = ((0.0, 0.0, -1.0), (1.0, 0.0, -1.0), (1.0, 1.0, 0.0))
@@ -355,7 +347,7 @@ PAYOFF_CYCLIC = ((0.5, 1.0, 0.0), (0.0, 0.5, 1.0), (1.0, 0.0, 0.5))
 PAYOFF_MIXED = ((1.0, 0.9, 0.25), (0.72, 0.0, 0.89), (0.0, 0.51, 0.88))
 
 
-def bandit_game(payoff, validation: str = "strict") -> TabularLinearMG:
+def bandit_game(payoff, check_regularity: bool = True) -> TabularLinearMG:
     """A one-step, one-state game: a matrix game wearing the Markov interface."""
     payoff = _float_array(payoff, "payoff")
     if payoff.ndim != 2:
@@ -363,16 +355,14 @@ def bandit_game(payoff, validation: str = "strict") -> TabularLinearMG:
     a1, a2 = payoff.shape
     transition = np.ones((1, 1, a1, a2, 1))
     reward = payoff.reshape(1, 1, a1, a2)
-    return one_hot_featurize(transition, reward, validation=validation)
+    return one_hot_featurize(transition, reward, check_regularity=check_regularity)
 
 
 def spurious_equilibrium_pair() -> tuple[TabularLinearMG, TabularLinearMG]:
     """Two 3x3 bandits that no offline dataset covering only their own
     equilibria can disambiguate: the pair behind the identity
     sub_A + sub_B = 2 + p1 + q1 for any product policy (p, q)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegularityWarning)
-        return bandit_game(PAYOFF_A, validation="warn"), bandit_game(PAYOFF_B, validation="warn")
+    return bandit_game(PAYOFF_A, check_regularity=False), bandit_game(PAYOFF_B, check_regularity=False)
 
 
 def cyclic_bandit() -> TabularLinearMG:

@@ -164,7 +164,13 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     if not (math.isfinite(shift) and math.isfinite(hi - shift)):
         raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they overflow float64")
     shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
-    w, duals, basis = _simplex_max(shifted)
+    try:
+        w, duals, basis = _simplex_max(shifted)
+    except SolverError:
+        # the shifted LP is bounded: at this spread the entering column fell below _PIVOT_EPS
+        if hi - shift < 1.0 / _PIVOT_EPS:
+            raise
+        raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they are too wide to pivot on") from None
     sol = _equilibrium(m, shift, w, duals)
     if not sol.exploitability <= tol:
         sol = _equilibrium(m, shift, *_basis_solution(shifted, basis))

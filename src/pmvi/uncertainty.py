@@ -30,7 +30,6 @@ from .evaluation import (
     _occupancy,
     _response_dp,
     bellman_error_tables,
-    exact_nash_values,
     sandwich_holds,
     suboptimality,
     theorem_bound_rhs,
@@ -62,16 +61,14 @@ def bonus_value_dp(game: TabularLinearMG, tables: np.ndarray, fixed_policy: Mark
 def relative_uncertainty(
     game: TabularLinearMG,
     dataset: OfflineDataset,
-    nash: NashValues | None = None,
+    nash: NashValues,
 ) -> RUReport:
     """Relative uncertainty of ``dataset`` for ``game`` at the initial state.
 
-    ``nash`` is the game's :func:`exact_nash_values`; it is computed when
-    omitted.  The measure is an infimum over equilibria, so the one pair it
-    carries gives an upper bound on it.
+    ``nash`` is the game's :func:`exact_nash_values`.  The measure is an
+    infimum over equilibria, so the one pair it carries gives an upper bound
+    on it.
     """
-    if nash is None:
-        nash = exact_nash_values(game)
     unit = bonus_tables(game, gram_matrices(game, dataset))
     return _relative_uncertainty(game, unit, nash)
 

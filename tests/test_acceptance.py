@@ -65,14 +65,15 @@ def test_criterion_1_paired_bandits_defeat_any_product_policy():
     game_a, game_b = pmvi.spurious_equilibrium_pair()
     rng = np.random.default_rng(20260816)
     t0 = time.perf_counter()
+    nash_a, nash_b = exact_nash_values(game_a), exact_nash_values(game_b)
     worst = 0.0
     for _ in range(1000):
         p = rng.dirichlet(np.ones(3))
         q = rng.dirichlet(np.ones(3))
         pol_max = MarkovPolicy(p.reshape(1, 1, 3), player=1)
         pol_min = MarkovPolicy(q.reshape(1, 1, 3), player=2)
-        sub_a = suboptimality(game_a, pol_max, pol_min).sub
-        sub_b = suboptimality(game_b, pol_max, pol_min).sub
+        sub_a = suboptimality(game_a, pol_max, pol_min, nash_a).sub
+        sub_b = suboptimality(game_b, pol_max, pol_min, nash_b).sub
         total = sub_a + sub_b
         worst = max(worst, abs(total - (2.0 + p[0] + q[0])))
         assert abs(total - (2.0 + p[0] + q[0])) <= 1e-9
@@ -160,12 +161,13 @@ def test_criterion_5_relative_uncertainty_worked_example():
     budget = 1.0
     game = pmvi.cyclic_bandit()
     t0 = time.perf_counter()
+    nash = exact_nash_values(game)
     devs = []
     for n in (0, 10, 100, 1000):
         data = collect_predetermined(
             game, balanced_schedule(9 * n, 3, 3), np.random.default_rng(0)
         )
-        ru = relative_uncertainty(game, data).ru
+        ru = relative_uncertainty(game, data, nash).ru
         devs.append(abs(ru - (1.0 + n) ** -0.5))
         assert devs[-1] <= 1e-12
     elapsed = time.perf_counter() - t0

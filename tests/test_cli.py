@@ -60,8 +60,8 @@ class TestSolveMatrix:
         assert code == 2 and "error:" in err
         code, _, err = call(capsys, "solve-matrix", "--matrix", "[[1,2],[NaN,0]]")
         assert code == 2
-        # finite entries whose shift to >= 1 overflows float64
-        for payload in ("[[-1.7976931348623157e308]]", "[[1e308,-1e308]]"):
+        # finite entries whose shift to >= 1 overflows float64, or spreads too wide to pivot on
+        for payload in ("[[-1.7976931348623157e308]]", "[[1e308,-1e308]]", "[[1.7976931348623157e308, 0]]"):
             code, out, err = call(capsys, "solve-matrix", "--matrix", payload)
             assert code == 2 and out == ""
             assert "payoff entries span" in err and "Warning" not in err
@@ -162,6 +162,14 @@ class TestRun:
         assert set(doc) >= {"beta", "gram", "q_lower", "q_upper", "policy_max", "policy_min"}
         assert np.asarray(doc["q_lower"]).shape == (1, 1, 3, 3)
 
+    def test_hard_instance_spec(self, capsys):
+        code, out, _ = call(
+            capsys, "run", "--game", "hard:p1=0.6,p2=0.4,actions=3,horizon=4", "--k", "50", "--beta", "0.3",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 11 and doc["horizon"] == 4
+
     def test_needs_a_data_source(self, capsys):
         code, _, err = call(capsys, "run", "--game", "bandit-cyclic")
         assert code == 2 and "--dataset or --k" in err
@@ -175,6 +183,7 @@ class TestRun:
             ("reward", "x"),
             ("reward", [[0.5, 0.5], [0.5]]),
             ("states", 5),
+            ("horizon", 7),
         ],
     )
     def test_malformed_game_file_is_exit_2(self, capsys, tmp_path, field, value):
@@ -454,6 +463,12 @@ USAGE_ERRORS = {
     "lower-bound-unwritable-out": [
         "lower-bound", "--k", "9", "--seeds", "1", "--beta", "0.5", "--out", "TMP/missing/lb.csv",
     ],
+    "hard-missing-p2": ["run", "--game", "hard:p1=0.6", "--k", "5"],
+    "hard-unknown-field": ["run", "--game", "hard:p1=0.6,p2=0.4,p3=0.5", "--k", "5"],
+    "hard-non-numeric": ["run", "--game", "hard:p1=high,p2=0.4", "--k", "5"],
+    "hard-item-without-equals": ["run", "--game", "hard:p1=0.6,p2", "--k", "5"],
+    "hard-repeated-key": ["run", "--game", "hard:p1=0.6,p2=0.4,p1=0.7", "--k", "5"],
+    "hard-p1-out-of-range": ["run", "--game", "hard:p1=0.8,p2=0.4", "--k", "5"],
 }
 
 

@@ -13,7 +13,6 @@ from pmvi import (
     ConfigError,
     InvariantError,
     MarkovPolicy,
-    RegularityWarning,
     TabularLinearMG,
     bellman_apply,
     one_hot_featurize,
@@ -85,8 +84,7 @@ class TestValidation:
         payoff = np.array([[1.5, 0.0], [0.0, 0.5]])
         with pytest.raises(InvariantError, match="outside"):
             pmvi.bandit_game(payoff)
-        with pytest.warns(RegularityWarning, match="outside"):
-            game = pmvi.bandit_game(payoff, validation="warn")
+        game = pmvi.bandit_game(payoff, check_regularity=False)
         assert game.reward.max() == 1.5
 
     def test_measure_norm_violation_detected(self):
@@ -118,11 +116,6 @@ class TestValidation:
                 theta=game.theta / 2.0,
                 mu=game.mu / 2.0,
             )
-
-    def test_bad_validation_mode(self):
-        transition, reward = random_tabular(7)
-        with pytest.raises(ConfigError):
-            one_hot_featurize(transition, reward, validation="loose")
 
     def test_initial_state_out_of_range(self):
         transition, reward = random_tabular(8)
@@ -242,6 +235,13 @@ class TestSerialization:
         rebuilt = pmvi.game_from_dict(doc)
         assert np.array_equal(rebuilt.features, game.features)
 
+    def test_size_fields_may_be_absent(self):
+        doc = pmvi.game_to_dict(pmvi.build_game(0.6, 0.4, n_actions=4, horizon=5))
+        for key in ("horizon", "actions_p1", "actions_p2"):
+            del doc[key]
+        game = pmvi.game_from_dict(doc)
+        assert (game.horizon, game.n_actions_p1, game.n_actions_p2) == (5, 4, 4)
+
     def test_partial_linear_document_rejected(self):
         doc = pmvi.game_to_dict(pmvi.cyclic_bandit())
         del doc["mu"]
@@ -272,6 +272,11 @@ class TestSerialization:
             ("states", True),
             ("states", [1, 2, 3]),
             ("states", ["start", "win"]),
+            ("horizon", 7),
+            ("actions_p1", 9),
+            ("actions_p2", True),
+            ("horizon", 3.0),
+            ("horizon", None),
         ],
     )
     def test_malformed_field_rejected(self, field, value):

@@ -183,8 +183,17 @@ def test_rejects_bad_inputs():
         solve_zero_sum([[-1.7976931348623157e308]])
     with pytest.raises(ConfigError, match=r"payoff entries span \[-1e\+308, 1e\+308\]"):
         solve_zero_sum([[1e308, -1e308]])
+    # finite shifted entries spread too wide for the simplex's pivot threshold
+    for matrix in ([[1.7976931348623157e308, 0.0]], [[1e200, 0.0]]):
+        with pytest.raises(ConfigError, match=r"payoff entries span \[0.0, "):
+            solve_zero_sum(matrix)
     with pytest.raises(ConfigError):
         solve_zero_sum(np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize("matrix,value", [([[1e160, 0.0], [0.0, 1e160]], 5e159), ([[1e10, 0.0]], 0.0)])
+def test_wide_matrices_that_pivot_still_solve(matrix, value):
+    assert solve_zero_sum(matrix).value == pytest.approx(value, rel=1e-12)
 
 
 def test_solver_error_is_invariant_error():
