@@ -91,9 +91,10 @@ def collect_behavior(
     _check_policy(game, policy_p2, 2)
     if k < 0:
         raise ConfigError("k must be nonnegative")
+    cum1, cum2 = np.cumsum(policy_p1.probs, axis=-1), np.cumsum(policy_p2.probs, axis=-1)
 
     def act(h: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _draw_rows(policy_p1.probs[h][states], rng), _draw_rows(policy_p2.probs[h][states], rng)
+        return _draw_rows(cum1[h][states], rng), _draw_rows(cum2[h][states], rng)
 
     return _roll_out(game, k, act, rng, "behavior")
 
@@ -130,9 +131,10 @@ def _roll_out(game: TabularLinearMG, k: int, act, rng: np.random.Generator, prov
     states, a1, a2, nxt = (np.empty(shape, dtype=np.int64) for _ in range(4))
     rewards = np.empty(shape, dtype=np.float64)
     cur = np.full(k, game.initial_state, dtype=np.int64)
+    cum = np.cumsum(game.transition, axis=-1)
     for h in range(game.horizon):
         acts1, acts2 = act(h, cur)
-        step_next = _draw_rows(game.transition[h][cur, acts1, acts2], rng)
+        step_next = _draw_rows(cum[h][cur, acts1, acts2], rng)
         states[:, h], a1[:, h], a2[:, h], nxt[:, h] = cur, acts1, acts2, step_next
         rewards[:, h] = game.reward[h][cur, acts1, acts2]
         cur = step_next
@@ -311,12 +313,11 @@ def _column(values, key: str, path, dtype=np.int64) -> np.ndarray:
         raise ConfigError(f"dataset file {path}: {key} value out of range: {exc}") from exc
 
 
-def _draw_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized categorical draws, one per row of ``probs`` (shape (K, n))."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
+def _draw_rows(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized categorical draws, one per row of cumulative probabilities ``cum`` (shape (K, n))."""
+    u = rng.random(cum.shape[0])
     picks = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(picks, probs.shape[1] - 1)
+    return np.minimum(picks, cum.shape[1] - 1)
 
 
 def check_dataset_bounds(game: TabularLinearMG, dataset: OfflineDataset) -> None:

@@ -32,6 +32,7 @@ from .games import MarkovPolicy, TabularLinearMG
 from .uncertainty import relative_uncertainty
 
 _P_MIN, _P_MAX = 0.25, 0.75
+_MAX_FEATURE_BYTES = 1 << 28  # the largest dense feature array build_game allocates
 
 Algorithm = Callable[[TabularLinearMG, OfflineDataset], tuple[MarkovPolicy, MarkovPolicy]]
 
@@ -71,6 +72,8 @@ def build_game(p1: float, p2: float, n_actions: int = 3, horizon: int = 3) -> Ta
         raise ConfigError(f"the construction needs horizon >= 2, got {horizon}")
     a = n_actions
     d = a * a + 2
+    if (nbytes := 3 * a * a * d * 8) > _MAX_FEATURE_BYTES:  # checked before anything is allocated
+        raise ConfigError(f"{a} actions give d={d}: {nbytes} bytes of dense features, over the limit of {_MAX_FEATURE_BYTES}")
     win_coord, loss_coord = a * a, a * a + 1
     p = np.full(a, min(p1, p2))
     p[0], p[1] = p1, p2

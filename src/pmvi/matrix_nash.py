@@ -143,6 +143,8 @@ def best_pure_response_gap(matrix, row_strategy, col_strategy) -> float:
 def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     """Equilibrium strategies and value of the zero-sum game ``matrix``.
 
+    A constant matrix skips the tableau: the one pivot Bland's rule would make
+    is written in closed form, and its certificate is computed all the same.
     The tableau gathers rounding over its pivots: when the pair read from it
     misses ``tol``, the final basis is solved afresh and certified again.
     Raises :class:`SolverError` if that pair also exceeds ``tol`` (which for
@@ -150,30 +152,35 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     """
     try:
         m = np.asarray(matrix, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"payoff matrix is not a rectangular numeric array: {exc}") from exc
     if m.ndim != 2 or m.size == 0:
         raise ConfigError(f"payoff matrix must be 2-d and nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    lo, hi = float(m.min()), float(m.max())  # min and max propagate NaN and +-inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("payoff matrix contains non-finite entries")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
 
-    lo, hi = float(m.min()), float(m.max())
     shift = lo - max(1.0, math.ulp(lo))  # beyond 2**53, ``lo - 1.0`` would round back to ``lo``
     if not (math.isfinite(shift) and math.isfinite(hi - shift)):
         raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they overflow float64")
-    shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
-    try:
-        w, duals, basis = _simplex_max(shifted)
-    except SolverError:
-        # the shifted LP is bounded: at this spread the entering column fell below _PIVOT_EPS
-        if hi - shift < 1.0 / _PIVOT_EPS:
-            raise
-        raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they are too wide to pivot on") from None
-    sol = _equilibrium(m, shift, w, duals)
-    if not sol.exploitability <= tol:
-        sol = _equilibrium(m, shift, *_basis_solution(shifted, basis))
+    if lo == hi:  # Bland's rule pivots once here: column 0 enters, row 0 leaves, w = duals = e0 / (hi - shift)
+        x, y = np.zeros(m.shape[0]), np.zeros(m.shape[1])
+        x[0] = y[0] = 1.0
+        sol = NashSolution(x, y, 1.0 / (1.0 / (hi - shift)) + shift, best_pure_response_gap(m, x, y))
+    else:
+        shifted = m - shift  # every entry >= 1, so the game value is >= 1 > 0
+        try:
+            w, duals, basis = _simplex_max(shifted)
+        except SolverError:
+            # the shifted LP is bounded: at this spread the entering column fell below _PIVOT_EPS
+            if hi - shift < 1.0 / _PIVOT_EPS:
+                raise
+            raise ConfigError(f"payoff entries span [{lo!r}, {hi!r}]; shifted to >= 1 they are too wide to pivot on") from None
+        sol = _equilibrium(m, shift, w, duals)
+        if not sol.exploitability <= tol:
+            sol = _equilibrium(m, shift, *_basis_solution(shifted, basis))
     if not sol.exploitability <= tol:
         raise SolverError(f"equilibrium certificate failed: exploitability {sol.exploitability:.3e} > tol {tol:.3e}")
     return sol

@@ -72,6 +72,21 @@ class TestSolveMatrix:
         code, _, err = call(capsys, "solve-matrix", "--matrix", payload)
         assert code == 2 and "payoff matrix" in err
 
+    @pytest.mark.parametrize(
+        "payload,leaf",
+        [('[[0,1],[0.5,"1"]]', 'payoff matrix entry [1, 1] is "1"'), ("[[true,false]]", "payoff matrix entry [0, 0] is true")],
+    )
+    def test_non_number_leaf_is_exit_2_naming_it(self, capsys, payload, leaf):
+        # numpy would read both as numbers
+        code, out, err = call(capsys, "solve-matrix", "--matrix", payload)
+        assert code == 2 and out == ""
+        assert f"{leaf}, not a number" in err
+
+    def test_integer_beyond_float64_is_exit_2(self, capsys):
+        code, out, err = call(capsys, "solve-matrix", "--matrix", "[[1" + "0" * 400 + "]]")
+        assert code == 2 and out == ""
+        assert "payoff matrix is not a rectangular numeric array" in err
+
     def test_constant_matrix_beyond_integer_precision(self, capsys):
         code, out, _ = call(capsys, "solve-matrix", "--matrix", "[[1e17,1e17],[1e17,1e17]]")
         assert code == 0
@@ -469,6 +484,9 @@ USAGE_ERRORS = {
     "hard-item-without-equals": ["run", "--game", "hard:p1=0.6,p2", "--k", "5"],
     "hard-repeated-key": ["run", "--game", "hard:p1=0.6,p2=0.4,p1=0.7", "--k", "5"],
     "hard-p1-out-of-range": ["run", "--game", "hard:p1=0.8,p2=0.4", "--k", "5"],
+    # both are rejected before the features are allocated
+    "hard-too-many-actions": ["run", "--game", "hard:p1=0.6,p2=0.4,actions=100000", "--k", "5"],
+    "lower-bound-too-many-actions": ["lower-bound", "--k", "9", "--seeds", "1", "--actions", "100"],
 }
 
 

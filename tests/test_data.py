@@ -53,6 +53,28 @@ class TestCollectBehavior:
         for name in ("states", "actions_p1", "actions_p2", "rewards", "next_states"):
             assert np.array_equal(getattr(d1, name), getattr(d2, name))
 
+    def test_draws_match_a_per_step_cumsum(self, three_state):
+        # each draw gathers rows of a table cumsum'd once; the reference cumsums
+        # every gathered block, in the same RNG order (max, min, next state)
+        rng = np.random.default_rng(3)
+        p1 = MarkovPolicy(rng.dirichlet(np.ones(2), size=(3, 3)), 1)
+        p2 = MarkovPolicy(rng.dirichlet(np.ones(2), size=(3, 3)), 2)
+        data = collect_behavior(three_state, p1, p2, 400, np.random.default_rng(11))
+
+        def draw(probs):
+            cum = np.cumsum(probs, axis=1)
+            return np.minimum((cum <= ref_rng.random(len(probs))[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+        ref_rng = np.random.default_rng(11)
+        cur = np.zeros(400, dtype=np.int64)
+        for h in range(three_state.horizon):
+            a, b = draw(p1.probs[h][cur]), draw(p2.probs[h][cur])
+            nxt = draw(three_state.transition[h][cur, a, b])
+            assert np.array_equal(data.states[:, h], cur)
+            assert np.array_equal(data.actions_p1[:, h], a) and np.array_equal(data.actions_p2[:, h], b)
+            assert np.array_equal(data.next_states[:, h], nxt)
+            cur = nxt
+
     def test_player_order_enforced(self, three_state):
         p1, p2 = uniform_pair(three_state)
         with pytest.raises(ConfigError):

@@ -65,6 +65,12 @@ class TestBuildGame:
         with pytest.raises(ConfigError, match="horizon"):
             build_game(0.5, 0.5, horizon=1)
 
+    @pytest.mark.parametrize("n_actions,d", [(100, 10002), (100000, 10000000002)])
+    def test_too_large_is_rejected_before_allocating(self, n_actions, d):
+        # 3 * a * a * d float64 features: 2.4 GB at a = 100
+        with pytest.raises(ConfigError, match=f"d={d}: {3 * n_actions**2 * d * 8} bytes of dense features"):
+            build_game(0.5, 0.5, n_actions=n_actions)
+
     def test_gram_is_diagonal_counting(self):
         game = build_game(0.5, 0.5)
         schedule = balanced_schedule(45, 3, 3)

@@ -1,5 +1,7 @@
 """Zero-sum matrix solver: exact-oracle agreement and equilibrium properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import pmvi
 from pmvi import ConfigError, SolverError, best_pure_response_gap, solve_zero_sum
+from pmvi.matrix_nash import _equilibrium, _simplex_max
 
 from oracles import exact_matrix_equilibrium, exact_matrix_value
 
@@ -45,6 +48,27 @@ def test_constant_matrix_beyond_integer_precision(c, shape):
     sol = solve_zero_sum(np.full(shape, c))
     assert sol.value == c
     assert sol.exploitability == 0.0
+
+
+_RANDOM_MAGNITUDES = np.random.default_rng(18).uniform(-12.0, 15.0, 24)
+CONSTANTS = [2.0**53, -(2.0**53), 1e17, -1e17, 1e300, -1e300, -7.04e-6, 0.0] + [
+    float(sign * 10.0**e) for sign, e in zip([1.0, -1.0] * 12, _RANDOM_MAGNITUDES)
+]
+
+
+@pytest.mark.parametrize("c", CONSTANTS)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (5, 5), (1, 4), (4, 1)])
+def test_constant_matrix_is_the_simplex_answer_bit_for_bit(shape, c):
+    # the closed form must reproduce the one Bland pivot the simplex makes,
+    # including its rounding (``1.0 + shift`` differs for c = -7.04e-6)
+    m = np.full(shape, c)
+    shift = c - max(1.0, math.ulp(c))
+    simplex = _equilibrium(m, shift, *_simplex_max(m - shift)[:2])
+    sol = solve_zero_sum(m)
+    assert float(sol.value).hex() == float(simplex.value).hex()
+    assert sol.row_strategy.tobytes() == simplex.row_strategy.tobytes()
+    assert sol.col_strategy.tobytes() == simplex.col_strategy.tobytes()
+    assert sol.exploitability == simplex.exploitability == 0.0
 
 
 def test_zero_matrix_everything_optimal():

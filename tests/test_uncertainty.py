@@ -224,6 +224,23 @@ class TestComputeOnce:
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
+        "argv,pivoted",
+        [
+            (["lower-bound", "--k", "1000", "--seeds", "20"], 2),
+            (["lower-bound", "--k", "1000", "--seeds", "20", "--beta", "0.3"], 82),
+            (["run", "--game", "three-state", "--k", "2000"], 9),
+            (["run", "--game", "three-state", "--k", "2000", "--beta", "0.5"], 23),
+        ],
+    )
+    def test_constant_stage_matrices_skip_the_simplex(self, monkeypatch, capsys, argv, pivoted):
+        # of 738 (lower-bound) and 27 (run) stage games, only the non-constant
+        # ones reach the tableau; the rest take solve_zero_sum's closed form
+        calls = count_calls(monkeypatch, "matrix_nash._simplex_max")
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == pivoted
+
+    @pytest.mark.parametrize(
         "spec,seed",
         [("three-state", 0), ("three-state", 1), ("three-state", 2), ("hard", 0)],
     )
