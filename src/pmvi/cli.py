@@ -30,6 +30,7 @@ from .evaluation import exact_nash_values
 from .games import (
     MarkovPolicy,
     TabularLinearMG,
+    _json_numbers,
     cyclic_bandit,
     load_game,
     mixed_bandit,
@@ -291,9 +292,7 @@ def _cmd_solve_matrix(args: argparse.Namespace) -> int:
         payload = json.loads(args.matrix if args.matrix is not None else Path(args.file).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read the matrix: {exc}") from exc
-    for index, leaf in np.ndenumerate(np.array(payload, dtype=object)):  # a ragged list keeps list leaves
-        if type(leaf) not in (int, float, list):  # numpy would read "1" or true as a number
-            raise ConfigError(f"payoff matrix entry {list(index)} is {json.dumps(leaf)}, not a number")
+    _json_numbers(payload, "payoff matrix")
     solution = solve_zero_sum(payload, tol=args.tol)
     _print_json(
         {

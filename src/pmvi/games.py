@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +43,23 @@ def _float_array(value, name: str) -> np.ndarray:
     """``value`` as a new finite float64 array; a caller's array is copied, never shared."""
     try:
         arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} is not a rectangular numeric array: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite entries")
     return arr
+
+
+def _json_numbers(value, name: str) -> np.ndarray:
+    """``value``, a field read from JSON, as an object array once every leaf is
+    an int or a float (not a bool) of a rectangular nested list; numpy would
+    read ``"0.5"``, ``true`` or ``null`` as numbers.  Otherwise ``ConfigError``
+    names the field and the first bad index."""
+    leaves = np.array(value, dtype=object)  # a ragged list keeps list leaves
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        index, leaf = next((i, x) for i, x in np.ndenumerate(leaves) if type(x) not in (int, float))
+        raise ConfigError(f"{name} entry {list(index)} is {json.dumps(leaf, default=repr):.60}, not a number")
+    return leaves
 
 
 def _freeze(arr, dtype=None) -> np.ndarray:
@@ -111,6 +124,18 @@ class TabularLinearMG:
     @property
     def dim(self) -> int:
         return self.features.shape[-1]
+
+    @cached_property
+    def single_nonzero(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(col, val)`` when every cell's feature has exactly one nonzero
+        entry: its column and its value, one per cell in (s, a, b) order; else
+        None.  Then every ``F' diag(w) F`` is diagonal.  Found on first use, so
+        building, loading or saving a game never pays for it."""
+        flat = self.features.reshape(-1, self.dim)
+        if np.count_nonzero(flat) != len(flat):  # no row is 0 (phi . sum_s' mu_h(s') = 1): one each
+            return None
+        cells, col = np.nonzero(flat)
+        return _freeze(col), _freeze(flat[cells, col])
 
     # -- validation -----------------------------------------------------------
 
@@ -283,8 +308,8 @@ def game_from_dict(doc: dict) -> TabularLinearMG:
     """The game of a :func:`game_to_dict` document; its ``states`` and size fields must fit it."""
     try:
         states = doc["states"]
-        transition = doc["transition"]
-        reward = doc["reward"]
+        transition = _json_numbers(doc["transition"], "transition")
+        reward = _json_numbers(doc["reward"], "reward")
         initial_state = doc.get("initial_state", 0)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed game document: missing {exc}") from exc
@@ -294,18 +319,10 @@ def game_from_dict(doc: dict) -> TabularLinearMG:
         labels = None
     else:
         raise ConfigError(f"states must be a state count or a list of state names, got {states!r:.60}")
-    linear_keys = [k for k in ("features", "theta", "mu") if k in doc]
-    if len(linear_keys) == 3:
-        game = TabularLinearMG(
-            transition=transition,
-            reward=reward,
-            features=doc["features"],
-            theta=doc["theta"],
-            mu=doc["mu"],
-            initial_state=initial_state,
-            state_labels=labels,
-        )
-    elif linear_keys:
+    linear = {k: _json_numbers(doc[k], k) for k in ("features", "theta", "mu") if k in doc}
+    if len(linear) == 3:
+        game = TabularLinearMG(transition, reward, **linear, initial_state=initial_state, state_labels=labels)
+    elif linear:
         raise ConfigError("features/theta/mu must be given together or omitted together")
     else:
         game = one_hot_featurize(transition, reward, initial_state=initial_state, state_labels=labels)

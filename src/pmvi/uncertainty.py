@@ -129,6 +129,11 @@ def well_explored_check(
 ) -> np.ndarray:
     """Smallest eigenvalue of ``E[phi_h phi_h']`` per step under a joint
     policy pair, shape (H,); a step whose entry is 0 leaves some feature
-    direction unexplored."""
-    outer = expected_feature_outer(game, policy_max, policy_min)
-    return np.array([float(np.linalg.eigvalsh(outer[h])[0]) for h in range(game.horizon)])
+    direction unexplored.  With one nonzero per cell the matrix is diagonal,
+    so this is the smallest diagonal entry, summed with no outer product."""
+    if game.single_nonzero is None:
+        outer = expected_feature_outer(game, policy_max, policy_min)
+        return np.array([float(np.linalg.eigvalsh(outer[h])[0]) for h in range(game.horizon)])
+    col, val = game.single_nonzero
+    occupancy = _occupancy(game, policy_max, policy_min).reshape(game.horizon, -1)
+    return np.array([np.bincount(col, joint * val * val, game.dim).min() for joint in occupancy])

@@ -126,10 +126,16 @@ class PmviOutput:
 
 
 def gram_matrices(game: TabularLinearMG, dataset: OfflineDataset) -> np.ndarray:
-    """Per-step regularized Gram matrices ``I + sum_tau phi phi'``, shape (H, d, d)."""
+    """Per-step regularized Gram matrices ``I + sum_tau phi phi'``, shape (H, d, d);
+    diagonal, and only the diagonal is summed, when each cell's feature has one nonzero."""
     check_dataset_bounds(game, dataset)
-    flat = game.features.reshape(-1, game.dim)
     counts = _step_sums(game.reward.shape, _samples(dataset))
+    if game.single_nonzero is not None:
+        col, val = game.single_nonzero
+        gram, idx = np.zeros((game.horizon, game.dim, game.dim)), np.arange(game.dim)
+        gram[:, idx, idx] = [RIDGE_LAMBDA + np.bincount(col, val * (n * val), game.dim) for n in counts]
+        return gram
+    flat = game.features.reshape(-1, game.dim)
     eye = RIDGE_LAMBDA * np.eye(game.dim)
     return np.stack([eye + flat.T @ (n[:, None] * flat) for n in counts])
 
@@ -155,9 +161,14 @@ def _step_sums(shape: tuple, index: tuple, weights: np.ndarray | None = None) ->
 
 
 def bonus_tables(game: TabularLinearMG, gram: np.ndarray) -> np.ndarray:
-    """The unit bonus ``sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b):
-    per step one ``np.linalg.solve`` of ``Lambda_h X = F'`` for all cells at
-    once, then the column sums of ``F' * X``."""
+    """The unit bonus ``sqrt(phi' Lambda_h^{-1} phi)`` for every (h, s, a, b),
+    ``gram`` being :func:`gram_matrices` of ``game``: per step one solve of
+    ``Lambda_h X = F'`` for all cells, then the column sums of ``F' * X``; or,
+    with one nonzero ``val`` per cell, ``sqrt(val^2 / Lambda_h[col, col])``."""
+    if game.single_nonzero is not None:
+        col, val = game.single_nonzero
+        inv_diag = 1.0 / np.diagonal(gram, axis1=1, axis2=2)
+        return np.sqrt(val * (val * inv_diag[:, col])).reshape(game.reward.shape)
     flat_t = game.features.reshape(-1, game.dim).T
     out = np.empty(game.reward.shape)
     for h in range(game.horizon):
@@ -174,6 +185,8 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
     gram = gram_matrices(game, dataset)
     unit_bonus = bonus_tables(game, gram)
     flat = game.features.reshape(-1, d)
+    col, val = game.single_nonzero or (None, None)  # one nonzero per cell: Lambda_h diagonal, phi . w one product
+    inv_diag = 1.0 / np.diagonal(gram, axis1=1, axis2=2)
     # per-(h, cell) statistics of the ridge targets: reward sums, next-state counts
     samples = _samples(dataset)
     reward_sums = _step_sums(game.reward.shape, samples, dataset.rewards)
@@ -189,10 +202,12 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
 
     for h in reversed(range(h_len)):
         targets = reward_sums[h][:, None] + next_counts[h] @ v[:, h + 1].T  # (cells, 2)
-        w[:, h] = ridge_weights(gram[h], flat.T @ targets).T
+        rhs = flat.T @ targets
+        w[:, h] = (ridge_weights(gram[h], rhs) if col is None else rhs * inv_diag[h][:, None]).T
         gamma = beta * unit_bonus[h]
         for side, sign in enumerate((-1.0, 1.0)):
-            estimate = (flat @ w[side, h]).reshape(s_count, a1c, a2c) + sign * gamma
+            fit = flat @ w[side, h] if col is None else w[side, h][col] * val
+            estimate = fit.reshape(s_count, a1c, a2c) + sign * gamma
             q[side, h] = np.clip(estimate, 0.0, h_len - h)
             for s in range(s_count):
                 sol = solve_zero_sum(q[side, h, s])

@@ -211,6 +211,32 @@ class TestRun:
         assert field in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "field,index,leaf,shown",
+        [
+            ("reward", (0, 0, 0, 0), "0.5926326726834205", 'reward entry [0, 0, 0, 0] is "0.5926326726834205"'),
+            ("features", (), True, "features entry [] is true"),
+            ("transition", (1, 2, 0, 1, 0), True, "transition entry [1, 2, 0, 1, 0] is true"),
+            ("mu", (2, 1, 5), None, "mu entry [2, 1, 5] is null"),
+            ("theta", (1,), [0.5] * 11, "theta entry [0] is [0."),  # 11 of 12 entries: ragged
+        ],
+    )
+    def test_game_file_numbers_must_be_json_numbers(self, capsys, tmp_path, field, index, leaf, shown):
+        # numpy would read each of these as a number (or a nan) or fail without naming the entry
+        doc = pmvi.game_to_dict(pmvi.three_state_game())
+        if index:
+            parent = doc[field]
+            for i in index[:-1]:
+                parent = parent[i]
+            parent[index[-1]] = leaf
+        else:
+            doc[field] = leaf
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call(capsys, "run", "--game", str(path), "--k", "50")
+        assert code == 2 and out == ""
+        assert shown in err and "not a number" in err
+
+    @pytest.mark.parametrize(
         "flag,value,named",
         [
             ("--beta", "nan", "beta must be finite"),

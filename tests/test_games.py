@@ -277,6 +277,7 @@ class TestSerialization:
             ("actions_p2", True),
             ("horizon", 3.0),
             ("horizon", None),
+            ("reward", 10**400),  # an int too large for float64
         ],
     )
     def test_malformed_field_rejected(self, field, value):

@@ -25,6 +25,7 @@ from pmvi import (
 from pmvi.cli import main
 from pmvi.evaluation import _response_dp
 from oracles import brute_force_max_total, pure_policy
+from test_value_iteration import dense_unit_norm_game
 
 
 def uniform_pair(game):
@@ -212,6 +213,32 @@ class TestComputeOnce:
             "evaluation.best_response_value": 2,
             "uncertainty.bonus_value_dp": 2,
         }
+
+    def test_one_nonzero_features_skip_every_solve(self, monkeypatch, capsys):
+        # each three-state cell has one nonzero feature, so Lambda_h and E[phi phi'] are diagonal
+        counts = {
+            name: count_calls(monkeypatch, name)
+            for name in ("value_iteration.ridge_weights", "uncertainty.expected_feature_outer")
+        }
+        assert main(["run", "--game", "three-state", "--k", "300"]) == 0
+        capsys.readouterr()
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "value_iteration.ridge_weights": 0,
+            "uncertainty.expected_feature_outer": 0,
+        }
+        game = dense_unit_norm_game(11)
+        pmvi.run_pmvi(game, collect_behavior(game, *uniform_pair(game), 50, np.random.default_rng(0)), pmvi.PmviConfig())
+        assert len(counts["value_iteration.ridge_weights"]) == game.horizon
+
+    def test_building_or_saving_a_game_leaves_its_structure_unfound(self, tmp_path):
+        # the one-nonzero search runs on first use, never during set-up
+        path = tmp_path / "game.json"
+        built = [pmvi.three_state_game(), pmvi.build_game(0.6, 0.4), pmvi.cyclic_bandit()]
+        pmvi.save_game(built[0], path)
+        loaded = [pmvi.load_game(path), pmvi.game_from_dict(pmvi.game_to_dict(built[1]))]
+        for game in built + loaded:
+            assert "single_nonzero" not in vars(game)
+        assert built[0].single_nonzero is not None and "single_nonzero" in vars(built[0])
 
     def test_lower_bound_solves_each_game_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "evaluation.exact_nash_values")

@@ -1,5 +1,6 @@
 """Backward pass: regression weights, bonuses, truncation, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,8 @@ from pmvi import (
     ridge_weights,
     run_pmvi,
 )
+from pmvi.cli import _BUILTIN_GAMES
+from pmvi.uncertainty import expected_feature_outer, well_explored_check
 
 #: default_beta(9, 1, 9000, 0.05) = 9 * sqrt(log(2*9*9000*1/0.05)), frozen.
 BETA_9000 = 34.846488989699516
@@ -228,6 +231,115 @@ class TestSufficientStatistics:
         out = run_pmvi(game, data, PmviConfig(beta=0.2))
         assert np.array_equal(out.gram, gram_matrices(game, data))
         assert np.all(out.weights_lower == 0.0) and np.all(out.weights_upper == 0.0)
+
+
+def random_one_hot_game(seed, n_states=4, n_actions=(3, 2), horizon=3):
+    rng = np.random.default_rng(seed)
+    cells = (horizon, n_states, *n_actions)
+    transition = rng.dirichlet(np.ones(n_states), size=cells)
+    return pmvi.one_hot_featurize(transition, rng.uniform(0.0, 1.0, size=cells))
+
+
+def scaled_shared_column_game(seed, n_states=3, n_actions=2, horizon=3):
+    """A linear MG whose cells each have one nonzero feature, of magnitude in
+    [0.3, 1) and either sign: cells 2j and 2j + 1 share column j and its
+    value, and the last column belongs to no cell."""
+    rng = np.random.default_rng(seed)
+    cells = n_states * n_actions * n_actions
+    dim = (cells + 1) // 2 + 1
+    col = np.arange(cells) // 2
+    scale = rng.uniform(0.3, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+    features = np.zeros((cells, dim))
+    features[np.arange(cells), col] = scale[col]
+    # P_h(s' | c) = scale_j mu_h(s')_j for c in column j, so mu_h(.)_j = q_hj / scale_j
+    mu = rng.dirichlet(np.ones(n_states), size=(horizon, dim)).transpose(0, 2, 1) / scale
+    theta = rng.uniform(0.0, 1.0, size=(horizon, dim)) / scale
+    features = features.reshape(n_states, n_actions, n_actions, dim)
+    return pmvi.TabularLinearMG(
+        transition=np.einsum("sabd,htd->hsabt", features, mu),
+        reward=np.einsum("sabd,hd->hsab", features, theta),
+        features=features,
+        theta=theta,
+        mu=mu,
+        check_regularity=False,  # |theta_h| may exceed sqrt(d)
+    )
+
+
+def dense_twin(game):
+    """``game`` with its one-nonzero structure withheld: every layer takes the
+    dense path (the general-feature code and the reference)."""
+    twin = dataclasses.replace(game)
+    vars(twin)["single_nonzero"] = None  # what the cached property would store
+    return twin
+
+
+ONE_NONZERO_GAMES = {
+    **_BUILTIN_GAMES,
+    "hard": lambda: pmvi.build_game(0.55, 0.45),
+    "hard-5x4": lambda: pmvi.build_game(0.6, 0.4, 5, 4),
+    "random-one-hot": lambda: random_one_hot_game(3),
+    "scaled-shared": lambda: scaled_shared_column_game(4),
+}
+
+
+class TestDiagonalPath:
+    """Games whose cells each have one nonzero feature take the diagonal path;
+    it must agree with the dense solves within 1e-12."""
+
+    @pytest.mark.parametrize("spec", sorted(ONE_NONZERO_GAMES))
+    @pytest.mark.parametrize("k", [5, 400])
+    def test_matches_the_dense_path(self, spec, k):
+        game = ONE_NONZERO_GAMES[spec]()
+        assert game.single_nonzero is not None
+        dense = dense_twin(game)
+        data = behavior_data(game, k, seed=k)
+        gram = gram_matrices(game, data)
+        assert np.allclose(gram, gram_matrices(dense, data), rtol=0, atol=1e-12)
+        assert np.allclose(gram, per_sample_gram(game, data), rtol=0, atol=1e-12)
+        unit = bonus_tables(game, gram)
+        inverse = np.linalg.inv(gram)
+        explicit = np.sqrt(np.einsum("sabd,hde,sabe->hsab", game.features, inverse, game.features))
+        assert np.allclose(unit, bonus_tables(dense, gram), rtol=0, atol=1e-12)
+        assert np.allclose(unit, explicit, rtol=0, atol=1e-12)
+        for beta in (0.0, 0.3, None):
+            fast, slow = (run_pmvi(g, data, PmviConfig(beta=beta)) for g in (game, dense))
+            for name in ("gram", "unit_bonus", "weights_lower", "weights_upper", "q_lower", "q_upper", "v_lower", "v_upper"):
+                assert np.allclose(getattr(fast, name), getattr(slow, name), rtol=0, atol=1e-12), name
+
+    @pytest.mark.parametrize("spec", sorted(ONE_NONZERO_GAMES))
+    def test_lambda_min_matches_the_eigenvalue(self, spec):
+        game = ONE_NONZERO_GAMES[spec]()
+        rng = np.random.default_rng(8)
+        shape = (game.horizon, game.n_states)
+        random_pair = (
+            MarkovPolicy(rng.dirichlet(np.ones(game.n_actions_p1), size=shape), 1),
+            MarkovPolicy(rng.dirichlet(np.ones(game.n_actions_p2), size=shape), 2),
+        )
+        for pair in ((MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)), random_pair):
+            outer = expected_feature_outer(game, *pair)
+            expected = [np.linalg.eigvalsh(outer[h])[0] for h in range(game.horizon)]
+            assert np.allclose(well_explored_check(game, *pair), expected, rtol=0, atol=1e-12)
+            assert np.allclose(well_explored_check(dense_twin(game), *pair), expected, rtol=0, atol=1e-12)
+
+    def test_structure_is_each_cells_column_and_value(self):
+        col, val = pmvi.three_state_game().single_nonzero
+        assert np.array_equal(col, np.arange(12)) and np.all(val == 1.0)
+        col, val = pmvi.build_game(0.6, 0.4).single_nonzero  # start cells own a column; win, loss share one
+        assert np.array_equal(col, [*range(9), *[9] * 9, *[10] * 9]) and np.all(val == 1.0)
+        assert not col.flags.writeable and not val.flags.writeable
+
+    def test_general_features_take_the_dense_path(self):
+        assert dense_unit_norm_game(11).single_nonzero is None
+        game = pmvi.three_state_game()
+        features = np.concatenate([game.features, np.zeros((3, 2, 2, 1))], axis=-1)
+        features[0, 0, 0, [0, -1]] = 0.5  # cell (0, 0, 0) splits over column 0 and a copy of it
+        split = dataclasses.replace(
+            game,
+            features=features,
+            theta=np.concatenate([game.theta, game.theta[:, :1]], axis=1),
+            mu=np.concatenate([game.mu, game.mu[..., :1]], axis=-1),
+        )
+        assert np.array_equal(split.transition, game.transition) and split.single_nonzero is None
 
 
 class TestBackwardPass:
