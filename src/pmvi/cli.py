@@ -261,14 +261,8 @@ def _cmd_rate_sweep(args: argparse.Namespace) -> int:
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     schedule = balanced_schedule(args.k, args.actions, args.actions)
-    config = _config_from_args(args)
-
-    def algorithm(game, dataset):
-        output = run_pmvi(game, dataset, config)
-        return output.policy_max, output.policy_min
-
     result = run_lower_bound_experiment(
-        algorithm, schedule, seeds, n_actions=args.actions, horizon=args.horizon
+        _config_from_args(args), schedule, seeds, n_actions=args.actions, horizon=args.horizon
     )
     if args.out is not None:
         header = ["game", "seed", "K", "subb", "ru", "subb_over_ru", "p_gap"]

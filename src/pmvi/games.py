@@ -54,9 +54,15 @@ def _json_numbers(value, name: str) -> np.ndarray:
     """``value``, a field read from JSON, as an object array once every leaf is
     an int or a float (not a bool) of a rectangular nested list; numpy would
     read ``"0.5"``, ``true`` or ``null`` as numbers.  Otherwise ``ConfigError``
-    names the field and the first bad index."""
-    leaves = np.array(value, dtype=object)  # a ragged list keeps list leaves
+    names the field and the first bad index: for a ragged list, the first
+    entry whose length differs from the first entry's at the same depth."""
+    leaves = np.array(value, dtype=object)  # stops at the depth where the lists turn ragged
     if not set(map(type, leaves.flat)) <= {int, float}:
+        first = leaves.flat[0]
+        if type(first) is list:  # ragged: every leaf is a list or stands where one should
+            index, leaf = next((i, x) for i, x in np.ndenumerate(leaves) if type(x) is not list or len(x) != len(first))
+            shown = f"has length {len(leaf)}" if type(leaf) is list else f"is {json.dumps(leaf, default=repr):.60}"
+            raise ConfigError(f"{name} entry {list(index)} {shown}, but entry {[0] * leaves.ndim} has length {len(first)}")
         index, leaf = next((i, x) for i, x in np.ndenumerate(leaves) if type(x) not in (int, float))
         raise ConfigError(f"{name} entry {list(index)} is {json.dumps(leaf, default=repr):.60}, not a number")
     return leaves
@@ -306,6 +312,8 @@ def game_to_dict(game: TabularLinearMG) -> dict:
 
 def game_from_dict(doc: dict) -> TabularLinearMG:
     """The game of a :func:`game_to_dict` document; its ``states`` and size fields must fit it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"game document must be a JSON object, got {type(doc).__name__}")
     try:
         states = doc["states"]
         transition = _json_numbers(doc["transition"], "transition")

@@ -12,29 +12,28 @@ whose first-action success probabilities ``1/2 +- delta`` are swapped
 between the first two actions, with ``delta`` shrunk as ``1/sqrt(n1 + n2)``
 so that the datasets generated by a fixed action schedule are statistically
 indistinguishable (``dataset_kl`` is the exact divergence) while the games
-still demand opposite first actions.  ``run_lower_bound_experiment`` runs an
-arbitrary dataset-to-policy algorithm over both games and reports the gap
-``subb`` next to the dataset's relative uncertainty.
+still demand opposite first actions.  ``run_lower_bound_experiment`` runs
+PMVI on datasets from both games and reports the gap ``subb`` next to the
+dataset's relative uncertainty, read off the run's own unit bonus.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import OfflineDataset, _int_matrix, collect_predetermined, count_stats
+from .data import _int_matrix, collect_predetermined, count_stats
 from .errors import ConfigError, InvariantError
 from .evaluation import exact_nash_values, suboptimality
-from .games import MarkovPolicy, TabularLinearMG
+from .games import TabularLinearMG
 from .uncertainty import relative_uncertainty
+from .value_iteration import PmviConfig, run_pmvi
 
 _P_MIN, _P_MAX = 0.25, 0.75
 _MAX_FEATURE_BYTES = 1 << 28  # the largest dense feature array build_game allocates
-
-Algorithm = Callable[[TabularLinearMG, OfflineDataset], tuple[MarkovPolicy, MarkovPolicy]]
 
 
 @dataclass(frozen=True)
@@ -160,21 +159,22 @@ def dataset_kl(pair: LeCamPair, counts: np.ndarray) -> float:
 
 
 def run_lower_bound_experiment(
-    algorithm: Algorithm,
+    config: PmviConfig,
     schedule: np.ndarray,
     seeds: Sequence[int],
     n_actions: int = 3,
     horizon: int = 3,
 ) -> LowerBoundResult:
-    """Run ``algorithm`` on datasets drawn from both games of the pair.
+    """Run PMVI with ``config`` on datasets drawn from both games of the pair.
 
     For each game and seed the schedule is replayed with fresh transition
-    noise, the algorithm maps the dataset to a policy pair, and the row
+    noise, :func:`run_pmvi` maps the dataset to a policy pair, and the row
     records ``subb = V* - V^{pair}`` at the start state together with the
-    dataset's relative uncertainty.  Each game's exact equilibrium is solved
-    once and shared by every seed.  In this family ``subb`` has a closed
-    form -- ``(H-1) * 2 delta * (1 - pihat(best action))`` -- which is
-    asserted against the measured value as a consistency check.
+    relative uncertainty of the run's own unit bonus.  Each game's exact
+    equilibrium is solved once and shared by every seed.  In this family
+    ``subb`` has a closed form --
+    ``(H-1) * 2 delta * (1 - pihat(best action))`` -- which is asserted
+    against the measured value as a consistency check.
     """
     if len(seeds) == 0:
         raise ConfigError("need at least one seed")
@@ -192,19 +192,19 @@ def run_lower_bound_experiment(
             dataset = collect_predetermined(game, schedule, rng)
             if counts is None:
                 counts = count_stats(game, dataset)
-            policy_max, policy_min = algorithm(game, dataset)
-            report = suboptimality(game, policy_max, policy_min, nash=nash)
+            out = run_pmvi(game, dataset, config)
+            report = suboptimality(game, out.policy_max, out.policy_min, nash=nash)
             predicted = (
                 (horizon - 1)
                 * gap
-                * (1.0 - float(policy_max.probs[0, game.initial_state, best_action]))
+                * (1.0 - float(out.policy_max.probs[0, game.initial_state, best_action]))
             )
             if abs(report.subb - predicted) > 1e-9:
                 raise InvariantError(
                     f"closed-form gap {predicted!r} disagrees with measured "
                     f"{report.subb!r} (game {game_id}, seed {seed})"
                 )
-            ru = relative_uncertainty(game, dataset, nash)
+            ru = relative_uncertainty(game, out.unit_bonus, nash)
             rows.append(
                 {
                     "game": game_id,

@@ -5,9 +5,10 @@ initial state: fix one player to an exact equilibrium policy, let the
 opponent roam freely to maximise the accumulated unit bonus
 ``sqrt(phi' Lambda_h^-1 phi)`` and take the larger of the two sides.  The
 measure is an infimum over equilibrium pairs; the one pair that
-``exact_nash_values`` returns gives an upper bound on it.  It is a pure
-function of the dataset (through the Gram matrices) and the transition
-model -- no rewards enter.
+``exact_nash_values`` returns gives an upper bound on it.  It reads the
+dataset only through its unit bonus -- a run's ``unit_bonus``, or
+``bonus_tables(game, gram_matrices(game, data))`` -- and the transition
+model; no rewards enter.
 
 A cruder check is provided as well: ``well_explored_check`` looks at the
 smallest eigenvalue of the behavior pair's expected feature outer product.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OfflineDataset
 from .evaluation import (
     NashValues,
     _check_tables,
@@ -35,7 +35,7 @@ from .evaluation import (
     theorem_bound_rhs,
 )
 from .games import MarkovPolicy, TabularLinearMG, _check_policy
-from .value_iteration import PmviOutput, bonus_tables, gram_matrices
+from .value_iteration import PmviOutput
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,19 @@ def bonus_value_dp(game: TabularLinearMG, tables: np.ndarray, fixed_policy: Mark
     return float(_response_dp(game, _check_tables(game, tables), fixed_policy, np.max)[0, game.initial_state])
 
 
-def relative_uncertainty(
-    game: TabularLinearMG,
-    dataset: OfflineDataset,
-    nash: NashValues,
-) -> RUReport:
-    """Relative uncertainty of ``dataset`` for ``game`` at the initial state.
+def relative_uncertainty(game: TabularLinearMG, unit_bonus: np.ndarray, nash: NashValues) -> RUReport:
+    """Relative uncertainty at the initial state of the data behind ``unit_bonus``.
 
+    ``unit_bonus`` is the dataset's (H, S, A1, A2) unit bonus: a run's
+    ``out.unit_bonus``, or ``bonus_tables(game, gram_matrices(game, data))``.
     ``nash`` is the game's :func:`exact_nash_values`.  The measure is an
     infimum over equilibria, so the one pair it carries gives an upper bound
     on it.
     """
-    unit = bonus_tables(game, gram_matrices(game, dataset))
-    return _relative_uncertainty(game, unit, nash)
-
-
-def _relative_uncertainty(game: TabularLinearMG, unit: np.ndarray, nash: NashValues) -> RUReport:
-    """RU from a ready unit-bonus table (H, S, A1, A2)."""
     _check_policy(game, nash.policy_max, 1)
     _check_policy(game, nash.policy_min, 2)
-    min_side = bonus_value_dp(game, unit, nash.policy_max)
-    max_side = bonus_value_dp(game, unit, nash.policy_min)
+    min_side = bonus_value_dp(game, unit_bonus, nash.policy_max)
+    max_side = bonus_value_dp(game, unit_bonus, nash.policy_min)
     return RUReport(ru=max(max_side, min_side), ru_max_side=max_side, ru_min_side=min_side)
 
 
@@ -92,7 +84,7 @@ def diagnose(game: TabularLinearMG, output: PmviOutput, nash: NashValues) -> dic
     """
     report = suboptimality(game, output.policy_max, output.policy_min, nash=nash)
     iota_lo, iota_up = bellman_error_tables(game, output)
-    ru = _relative_uncertainty(game, output.unit_bonus, nash)
+    ru = relative_uncertainty(game, output.unit_bonus, nash)
     return {
         "beta": output.beta,
         "v_lower": float(output.v_lower[0, game.initial_state]),

@@ -73,6 +73,18 @@ class TestSolveMatrix:
         assert code == 2 and "payoff matrix" in err
 
     @pytest.mark.parametrize(
+        "payload,shown",
+        [
+            ("[[1,2],[3]]", "payoff matrix entry [1] has length 1, but entry [0] has length 2"),
+            ("[[1,2],[3,4,5]]", "payoff matrix entry [1] has length 3, but entry [0] has length 2"),
+        ],
+    )
+    def test_ragged_matrix_names_the_row_that_differs(self, capsys, payload, shown):
+        code, out, err = call(capsys, "solve-matrix", "--matrix", payload)
+        assert code == 2 and out == ""
+        assert f"error: {shown}\n" == err
+
+    @pytest.mark.parametrize(
         "payload,leaf",
         [('[[0,1],[0.5,"1"]]', 'payoff matrix entry [1, 1] is "1"'), ("[[true,false]]", "payoff matrix entry [0, 0] is true")],
     )
@@ -213,11 +225,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "field,index,leaf,shown",
         [
-            ("reward", (0, 0, 0, 0), "0.5926326726834205", 'reward entry [0, 0, 0, 0] is "0.5926326726834205"'),
-            ("features", (), True, "features entry [] is true"),
-            ("transition", (1, 2, 0, 1, 0), True, "transition entry [1, 2, 0, 1, 0] is true"),
-            ("mu", (2, 1, 5), None, "mu entry [2, 1, 5] is null"),
-            ("theta", (1,), [0.5] * 11, "theta entry [0] is [0."),  # 11 of 12 entries: ragged
+            ("reward", (0, 0, 0, 0), "0.5926326726834205", 'reward entry [0, 0, 0, 0] is "0.5926326726834205", not a number'),
+            ("features", (), True, "features entry [] is true, not a number"),
+            ("transition", (1, 2, 0, 1, 0), True, "transition entry [1, 2, 0, 1, 0] is true, not a number"),
+            ("mu", (2, 1, 5), None, "mu entry [2, 1, 5] is null, not a number"),
+            # 11 of 12 entries: ragged, and the short row is named, not the first
+            ("theta", (1,), [0.5] * 11, "theta entry [1] has length 11, but entry [0] has length 12"),
         ],
     )
     def test_game_file_numbers_must_be_json_numbers(self, capsys, tmp_path, field, index, leaf, shown):
@@ -234,7 +247,15 @@ class TestRun:
         path.write_text(json.dumps(doc))
         code, out, err = call(capsys, "run", "--game", str(path), "--k", "50")
         assert code == 2 and out == ""
-        assert shown in err and "not a number" in err
+        assert shown in err
+
+    @pytest.mark.parametrize("doc,kind", [([1, 2], "list"), ("abc", "str")])
+    def test_game_file_must_hold_an_object(self, capsys, tmp_path, doc, kind):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call(capsys, "run", "--game", str(path), "--k", "50")
+        assert code == 2 and out == ""
+        assert f"error: game document must be a JSON object, got {kind}\n" == err
 
     @pytest.mark.parametrize(
         "flag,value,named",

@@ -341,7 +341,7 @@ def test_every_policy_argument_must_fit_the_game(call, player, defect):
         "suboptimality": lambda: suboptimality(game, *pair, nash),
         "best_response_value": lambda: best_response_value(game, bad),
         "expected_total": lambda: expected_total(game, *pair, tables),
-        "relative_uncertainty": lambda: relative_uncertainty(game, data, nash),
+        "relative_uncertainty": lambda: relative_uncertainty(game, pmvi.bonus_tables(game, pmvi.gram_matrices(game, data)), nash),
         "bonus_value_dp": lambda: bonus_value_dp(game, tables, bad),
     }
     with pytest.raises(ConfigError, match=rf"player {player} policy shape .* does not fit the game"):

@@ -8,7 +8,7 @@ import pytest
 import pmvi
 from pmvi import (
     ConfigError,
-    MarkovPolicy,
+    PmviConfig,
     balanced_schedule,
     build_game,
     collect_predetermined,
@@ -18,7 +18,6 @@ from pmvi import (
     le_cam_pair,
     run_lower_bound_experiment,
 )
-from oracles import pure_policy
 
 
 def bernoulli_kl(p, q):
@@ -194,46 +193,28 @@ class TestDatasetKL:
         assert repr(dataset_kl(pair, count_stats(pair.game_one, data))) == "0.06251085408654819"
 
 
-def equilibrium_algorithm(game, dataset):
-    nash = exact_nash_values(game)
-    return nash.policy_max, nash.policy_min
-
-
-def stubborn_algorithm(game, dataset):
-    return pure_policy(game, 1, 2), MarkovPolicy.uniform(game, 2)
-
-
-def uniform_algorithm(game, dataset):
-    return MarkovPolicy.uniform(game, 1), MarkovPolicy.uniform(game, 2)
-
-
 class TestExperiment:
-    def test_informed_play_has_zero_gap(self):
+    @pytest.mark.parametrize("actions, horizon", [(3, 3), (4, 4), (2, 2)])
+    def test_closed_form_gap_at_the_default_beta(self, actions, horizon):
+        # the default beta saturates every clip, so each stage matrix is constant
+        # and the solver plays max action 0: right in game one, wrong in game two
+        schedule = balanced_schedule(5 * actions * actions, actions, actions)
         result = run_lower_bound_experiment(
-            equilibrium_algorithm, balanced_schedule(45, 3, 3), seeds=range(3)
+            PmviConfig(), schedule, seeds=range(3), n_actions=actions, horizon=horizon
         )
+        pair = le_cam_pair(schedule, n_actions=actions, horizon=horizon)
+        p_gap = pair.p_high - pair.p_low
         assert len(result.rows) == 6
-        assert all(row["subb"] == pytest.approx(0.0, abs=1e-9) for row in result.rows)
-        assert result.summary["worst_mean_subb"] == pytest.approx(0.0, abs=1e-9)
+        for row in result.rows:
+            expected = 0.0 if row["game"] == "one" else (horizon - 1) * p_gap
+            assert row["subb"] == pytest.approx(expected, abs=1e-12)
+            assert row["ru"] > 0.0
         assert result.summary["kl"] <= 0.5
-
-    def test_closed_form_gap_for_oblivious_play(self):
-        schedule = balanced_schedule(45, 3, 3)
-        pair = le_cam_pair(schedule)
-        expected = 2 * (pair.p_high - pair.p_low)  # (H-1) * gap, best never played
-        result = run_lower_bound_experiment(stubborn_algorithm, schedule, seeds=range(2))
-        assert all(row["subb"] == pytest.approx(expected, abs=1e-12) for row in result.rows)
-        uniform_result = run_lower_bound_experiment(uniform_algorithm, schedule, seeds=range(2))
-        assert all(
-            row["subb"] == pytest.approx(expected * 2.0 / 3.0, abs=1e-12)
-            for row in uniform_result.rows
-        )
-        assert all(row["ru"] > 0.0 for row in result.rows)
 
     def test_rows_and_summary_are_deterministic(self):
         schedule = balanced_schedule(27, 3, 3)
-        r1 = run_lower_bound_experiment(uniform_algorithm, schedule, seeds=[5, 9])
-        r2 = run_lower_bound_experiment(uniform_algorithm, schedule, seeds=[5, 9])
+        r1 = run_lower_bound_experiment(PmviConfig(beta=0.5), schedule, seeds=[5, 9])
+        r2 = run_lower_bound_experiment(PmviConfig(beta=0.5), schedule, seeds=[5, 9])
         assert r1.rows == r2.rows
         assert r1.summary == r2.summary
         expected_keys = {
@@ -245,7 +226,7 @@ class TestExperiment:
 
     def test_needs_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
-            run_lower_bound_experiment(uniform_algorithm, balanced_schedule(9, 3, 3), seeds=[])
+            run_lower_bound_experiment(PmviConfig(beta=0.5), balanced_schedule(9, 3, 3), seeds=[])
 
 
 def test_transition_noise_concentrates_at_schedule_rate():

@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import pmvi
+from test_uncertainty import count_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -59,9 +60,11 @@ def test_every_readme_entry_point_resolves_in_pmvi():
     assert [name for name in names if name not in pmvi.__all__ or not hasattr(pmvi, name)] == []
 
 
-def test_readme_quickstart_runs(capsys):
+def test_readme_quickstart_runs(capsys, monkeypatch):
     text = README.read_text()
     block = text[text.index("## Library quickstart") :].split("```python\n", 1)[1].split("```", 1)[0]
+    grams = count_calls(monkeypatch, "value_iteration.gram_matrices")
     exec(compile(block, f"{README}:quickstart", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[2].startswith("certificate:")
+    assert len(grams) == 1  # the certificate reads the run's own unit bonus

@@ -38,6 +38,11 @@ def uniform_bandit_data(n_per_cell):
     return game, collect_predetermined(game, schedule, np.random.default_rng(0))
 
 
+def unit_bonus(game, data):
+    """The dataset's (H, S, A1, A2) unit bonus, built from scratch."""
+    return pmvi.bonus_tables(game, pmvi.gram_matrices(game, data))
+
+
 def concatenate(d1: OfflineDataset, d2: OfflineDataset) -> OfflineDataset:
     return OfflineDataset(
         states=np.vstack([d1.states, d2.states]),
@@ -91,14 +96,14 @@ class TestRelativeUncertainty:
     def test_empty_dataset_saturates_at_horizon(self):
         game = pmvi.three_state_game()
         data = collect_behavior(game, *uniform_pair(game), 0, np.random.default_rng(0))
-        report = relative_uncertainty(game, data, pmvi.exact_nash_values(game))
+        report = relative_uncertainty(game, unit_bonus(game, data), pmvi.exact_nash_values(game))
         assert report.ru == pytest.approx(3.0, abs=1e-12)
         assert report.ru == max(report.ru_max_side, report.ru_min_side)
 
     @pytest.mark.parametrize("n", [0, 4, 25])
     def test_uniformly_filled_bandit_closed_form(self, n):
         game, data = uniform_bandit_data(n)
-        report = relative_uncertainty(game, data, pmvi.exact_nash_values(game))
+        report = relative_uncertainty(game, unit_bonus(game, data), pmvi.exact_nash_values(game))
         assert report.ru == pytest.approx((1.0 + n) ** -0.5, abs=1e-12)
         assert report.ru_max_side == pytest.approx(report.ru_min_side, abs=1e-12)
 
@@ -107,11 +112,11 @@ class TestRelativeUncertainty:
         d1 = collect_behavior(game, *uniform_pair(game), 30, np.random.default_rng(1))
         d2 = collect_behavior(game, *uniform_pair(game), 30, np.random.default_rng(2))
         nash = pmvi.exact_nash_values(game)
-        ru_single = relative_uncertainty(game, d1, nash).ru
-        ru_double = relative_uncertainty(game, concatenate(d1, d2), nash).ru
+        ru_single = relative_uncertainty(game, unit_bonus(game, d1), nash).ru
+        ru_double = relative_uncertainty(game, unit_bonus(game, concatenate(d1, d2)), nash).ru
         assert ru_double <= ru_single + 1e-12
         # repeat call is bit-for-bit stable
-        assert relative_uncertainty(game, d1, nash).ru == ru_single
+        assert relative_uncertainty(game, unit_bonus(game, d1), nash).ru == ru_single
 
     def test_pair_validation(self):
         game = pmvi.cyclic_bandit()
@@ -119,7 +124,13 @@ class TestRelativeUncertainty:
         nash = pmvi.exact_nash_values(game)
         swapped = dataclasses.replace(nash, policy_max=nash.policy_min, policy_min=nash.policy_max)
         with pytest.raises(ConfigError, match="max-player, min-player"):
-            relative_uncertainty(game, data, swapped)
+            relative_uncertainty(game, unit_bonus(game, data), swapped)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 3, 3), (1, 1, 3, 3, 1)])
+    def test_unit_bonus_of_another_shape_rejected(self, shape):
+        game = pmvi.cyclic_bandit()
+        with pytest.raises(ConfigError, match=rf"tables shape \({', '.join(map(str, shape))},?\) does not match"):
+            relative_uncertainty(game, np.ones(shape), pmvi.exact_nash_values(game))
 
 
 class TestWellExplored:
@@ -242,13 +253,13 @@ class TestComputeOnce:
 
     def test_lower_bound_solves_each_game_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "evaluation.exact_nash_values")
-
-        def algorithm(game, dataset):
-            out = pmvi.run_pmvi(game, dataset, pmvi.PmviConfig(beta=0.5))
-            return out.policy_max, out.policy_min
-
-        pmvi.run_lower_bound_experiment(algorithm, balanced_schedule(18, 3, 3), [0, 1, 2])
+        # one Gram and one unit bonus per dataset: RU reads the run's own
+        grams = count_calls(monkeypatch, "value_iteration.gram_matrices")
+        bonuses = count_calls(monkeypatch, "value_iteration.bonus_tables")
+        seeds = [0, 1, 2]
+        pmvi.run_lower_bound_experiment(pmvi.PmviConfig(beta=0.5), balanced_schedule(18, 3, 3), seeds)
         assert len(calls) == 2
+        assert len(grams) == len(bonuses) == 2 * len(seeds)
 
     @pytest.mark.parametrize(
         "argv,pivoted",
@@ -278,7 +289,7 @@ class TestComputeOnce:
         out = pmvi.run_pmvi(game, data, pmvi.PmviConfig())
         nash = pmvi.exact_nash_values(game)
         report = pmvi.suboptimality(game, out.policy_max, out.policy_min, nash)
-        ru = relative_uncertainty(game, data, nash)
+        ru = relative_uncertainty(game, unit_bonus(game, data), nash)
         fresh = dataclasses.replace(out, unit_bonus=pmvi.bonus_tables(game, pmvi.gram_matrices(game, data)))
         iota_lo, iota_up = pmvi.bellman_error_tables(game, out)
         expected = {
