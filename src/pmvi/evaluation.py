@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .games import MarkovPolicy, TabularLinearMG, _check_policy, _freeze, bellman_apply
-from .matrix_nash import solve_zero_sum
+from .matrix_nash import _solve_stage
 from .value_iteration import PmviOutput
 
 _CHAIN_ATOL = 1e-8
@@ -61,18 +61,13 @@ class EvaluationReport:
 
 
 def exact_nash_values(game: TabularLinearMG) -> NashValues:
-    """Backward induction with a matrix-game solve per (h, s)."""
+    """Backward induction with one stage solve per step: a matrix-game solve per (h, s)."""
     h_len, s_count = game.horizon, game.n_states
     v = np.zeros((h_len + 1, s_count))
     pi = np.zeros((h_len, s_count, game.n_actions_p1))
     nu = np.zeros((h_len, s_count, game.n_actions_p2))
     for h in reversed(range(h_len)):
-        q = bellman_apply(game, h, v[h + 1])
-        for s in range(s_count):
-            sol = solve_zero_sum(q[s])
-            v[h, s] = sol.value
-            pi[h, s] = sol.row_strategy
-            nu[h, s] = sol.col_strategy
+        pi[h], nu[h], v[h] = _solve_stage(bellman_apply(game, h, v[h + 1]))
     return NashValues(
         v_star=_freeze(v[:h_len]),
         policy_max=MarkovPolicy(pi, player=1),

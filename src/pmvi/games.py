@@ -57,7 +57,11 @@ def _json_numbers(value, name: str) -> np.ndarray:
     names the field and the first bad index: for a ragged list, the first
     entry whose length differs from the first entry's at the same depth."""
     leaves = np.array(value, dtype=object)  # stops at the depth where the lists turn ragged
-    if not set(map(type, leaves.flat)) <= {int, float}:
+    try:
+        kinds = set(map(type, leaves.flat))
+    except RuntimeError:  # numpy iterates over at most 32 dimensions
+        raise ConfigError(f"{name} nests lists more than 32 levels deep") from None
+    if not kinds <= {int, float}:
         first = leaves.flat[0]
         if type(first) is list:  # ragged: every leaf is a list or stands where one should
             index, leaf = next((i, x) for i, x in np.ndenumerate(leaves) if type(x) is not list or len(x) != len(first))
@@ -73,6 +77,18 @@ def _freeze(arr, dtype=None) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _table_shape(transition: np.ndarray, reward: np.ndarray) -> tuple[int, int, int, int]:
+    """``(H, S, A1, A2)`` of a transition (H, S, A1, A2, S) and reward (H, S, A1, A2) pair."""
+    if transition.ndim != 5 or transition.shape[1] != transition.shape[4]:
+        raise ConfigError(f"transition must have shape (H,S,A1,A2,S), got {transition.shape}")
+    h, s, a1, a2, _ = transition.shape
+    if min(h, s, a1, a2) < 1:
+        raise ConfigError("horizon, state and action counts must all be >= 1")
+    if reward.shape != (h, s, a1, a2):
+        raise ConfigError(f"reward shape {reward.shape} does not match transition {(h, s, a1, a2)}")
+    return h, s, a1, a2
 
 
 @dataclass(frozen=True)
@@ -146,13 +162,7 @@ class TabularLinearMG:
     # -- validation -----------------------------------------------------------
 
     def _check_shapes(self) -> None:
-        if self.transition.ndim != 5 or self.transition.shape[1] != self.transition.shape[4]:
-            raise ConfigError(f"transition must have shape (H,S,A1,A2,S), got {self.transition.shape}")
-        h, s, a1, a2, _ = self.transition.shape
-        if min(h, s, a1, a2) < 1:
-            raise ConfigError("horizon, state and action counts must all be >= 1")
-        if self.reward.shape != (h, s, a1, a2):
-            raise ConfigError(f"reward shape {self.reward.shape} does not match transition {(h, s, a1, a2)}")
+        h, s, a1, a2 = _table_shape(self.transition, self.reward)
         if self.features.ndim != 4 or self.features.shape[:3] != (s, a1, a2):
             raise ConfigError(f"features must have shape (S,A1,A2,d), got {self.features.shape}")
         d = self.features.shape[3]
@@ -270,11 +280,7 @@ def one_hot_featurize(
     """
     transition = _float_array(transition, "transition")
     reward = _float_array(reward, "reward")
-    if transition.ndim != 5:
-        raise ConfigError(f"transition must have shape (H,S,A1,A2,S), got {transition.shape}")
-    h, s, a1, a2, _ = transition.shape
-    if reward.shape != (h, s, a1, a2):
-        raise ConfigError(f"reward shape {reward.shape} does not match transition {(h, s, a1, a2)}")
+    h, s, a1, a2 = _table_shape(transition, reward)
     d = s * a1 * a2
     features = np.eye(d).reshape(s, a1, a2, d)
     theta = reward.reshape(h, d)

@@ -33,7 +33,7 @@ from .uncertainty import relative_uncertainty
 from .value_iteration import PmviConfig, run_pmvi
 
 _P_MIN, _P_MAX = 0.25, 0.75
-_MAX_FEATURE_BYTES = 1 << 28  # the largest dense feature array build_game allocates
+_MAX_ARRAY_BYTES = 1 << 28  # the largest array build_game allocates
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ def build_game(p1: float, p2: float, n_actions: int = 3, horizon: int = 3) -> Ta
         raise ConfigError(f"the construction needs horizon >= 2, got {horizon}")
     a = n_actions
     d = a * a + 2
-    if (nbytes := 3 * a * a * d * 8) > _MAX_FEATURE_BYTES:  # checked before anything is allocated
-        raise ConfigError(f"{a} actions give d={d}: {nbytes} bytes of dense features, over the limit of {_MAX_FEATURE_BYTES}")
+    nbytes, what = max((3 * a * a * d * 8, "dense features"), (9 * horizon * a * a * 8, "transition probabilities"))
+    if nbytes > _MAX_ARRAY_BYTES:  # features (3, a, a, d) or transition (H, 3, a, a, 3), checked before either exists
+        raise ConfigError(f"{a} actions and horizon {horizon} give d={d}: {nbytes} bytes of {what}, over the limit {_MAX_ARRAY_BYTES}")
     win_coord, loss_coord = a * a, a * a + 1
     p = np.full(a, min(p1, p2))
     p[0], p[1] = p1, p2

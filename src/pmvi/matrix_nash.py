@@ -184,3 +184,9 @@ def solve_zero_sum(matrix, tol: float = 1e-9) -> NashSolution:
     if not sol.exploitability <= tol:
         raise SolverError(f"equilibrium certificate failed: exploitability {sol.exploitability:.3e} > tol {tol:.3e}")
     return sol
+
+
+def _solve_stage(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_zero_sum` on each matrix of ``q`` (S, A1, A2): row strategies (S, A1), column ones (S, A2), values (S,)."""
+    rows, cols, values = zip(*((sol.row_strategy, sol.col_strategy, sol.value) for sol in map(solve_zero_sum, q)))
+    return np.array(rows), np.array(cols), np.array(values)

@@ -14,13 +14,13 @@ features and costs O(K + cells * d^2) per step instead of O(K * d^2):
 
     Lambda_h = I + F' diag(n_h) F,    w_h = Lambda_h^{-1} F' (R_h + N_h V_{h+1})
 
-and two truncated Q estimates: a pessimistic one (bonus subtracted) and an
-optimistic one (bonus added), each clipped to [0, H - h] -- the range of the
-return over the remaining steps.  Each state's pessimistic Q matrix is solved
-as a zero-sum game, giving the output max-player policy and an auxiliary
-min-player policy; the optimistic matrix gives the output min-player policy
-and an auxiliary max-player policy.  The V estimates are the matrix-game
-values under those strategy pairs.
+and two truncated Q estimates F w_h -+ Gamma_h, pessimistic and optimistic,
+each clipped to [0, H - h] -- the range of the return over the remaining steps.
+Per step and side one stage solve takes the zero-sum game of every state: the
+pessimistic side gives the output max-player policy and an auxiliary min-player
+one, the optimistic side the output min-player policy and an auxiliary
+max-player one.  V_h(s) is the bilinear form x' Q_h(s) y of the state's pair,
+checked against the LP value.  One nonzero per cell makes Lambda_h diagonal.
 
 The bonus multiplier defaults to ``beta = c * d * H * sqrt(log(2 d K H / p))``
 where ``p`` is the failure probability of the confidence construction.
@@ -36,7 +36,7 @@ import numpy as np
 from .data import OfflineDataset, check_dataset_bounds
 from .errors import ConfigError, InvariantError
 from .games import MarkovPolicy, TabularLinearMG, _freeze
-from .matrix_nash import solve_zero_sum
+from .matrix_nash import _solve_stage
 
 #: Ridge regularizer of the least-squares step.  The confidence-bonus
 #: construction is calibrated to this exact value; it is not a knob.
@@ -185,8 +185,7 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
     gram = gram_matrices(game, dataset)
     unit_bonus = bonus_tables(game, gram)
     flat = game.features.reshape(-1, d)
-    col, val = game.single_nonzero or (None, None)  # one nonzero per cell: Lambda_h diagonal, phi . w one product
-    inv_diag = 1.0 / np.diagonal(gram, axis1=1, axis2=2)
+    inv_diag = 1.0 / np.diagonal(gram, axis1=1, axis2=2)  # Lambda_h^-1 when each cell has one nonzero
     # per-(h, cell) statistics of the ridge targets: reward sums, next-state counts
     samples = _samples(dataset)
     reward_sums = _step_sums(game.reward.shape, samples, dataset.rewards)
@@ -203,16 +202,18 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
     for h in reversed(range(h_len)):
         targets = reward_sums[h][:, None] + next_counts[h] @ v[:, h + 1].T  # (cells, 2)
         rhs = flat.T @ targets
-        w[:, h] = (ridge_weights(gram[h], rhs) if col is None else rhs * inv_diag[h][:, None]).T
+        w[:, h] = (ridge_weights(gram[h], rhs) if game.single_nonzero is None else rhs * inv_diag[h][:, None]).T
         gamma = beta * unit_bonus[h]
         for side, sign in enumerate((-1.0, 1.0)):
-            fit = flat @ w[side, h] if col is None else w[side, h][col] * val
-            estimate = fit.reshape(s_count, a1c, a2c) + sign * gamma
+            estimate = (flat @ w[side, h]).reshape(s_count, a1c, a2c) + sign * gamma
             q[side, h] = np.clip(estimate, 0.0, h_len - h)
-            for s in range(s_count):
-                sol = solve_zero_sum(q[side, h, s])
-                rows[side, h, s], cols[side, h, s] = sol.row_strategy, sol.col_strategy
-                v[side, h, s] = _bilinear(sol.row_strategy, q[side, h, s], sol.col_strategy, sol.value)
+            x, y, lp_values = _solve_stage(q[side, h])
+            rows[side, h], cols[side, h] = x, y
+            v[side, h] = (x[:, None] @ q[side, h] @ y[:, :, None])[:, 0, 0]  # x' Q y, state by state
+            if (mismatch := np.abs(v[side, h] - lp_values) > _VALUE_CROSS_CHECK_ATOL).any():
+                s = int(mismatch.argmax())
+                raise InvariantError(f"equilibrium value mismatch at h={h}, s={s}: bilinear form "
+                                     f"{float(v[side, h, s])!r} vs LP value {float(lp_values[s])!r}")
 
     return PmviOutput(
         beta=beta,
@@ -229,16 +230,6 @@ def run_pmvi(game: TabularLinearMG, dataset: OfflineDataset, config: PmviConfig)
         policy_max_aux=MarkovPolicy(rows[1], player=1),
         policy_min=MarkovPolicy(cols[1], player=2),
     )
-
-
-def _bilinear(x: np.ndarray, matrix: np.ndarray, y: np.ndarray, lp_value: float) -> float:
-    """x' M y, cross-checked against the LP's own optimal value."""
-    value = float(x @ matrix @ y)
-    if abs(value - lp_value) > _VALUE_CROSS_CHECK_ATOL:
-        raise InvariantError(
-            f"equilibrium value mismatch: bilinear form {value!r} vs LP value {lp_value!r}"
-        )
-    return value
 
 
 def output_to_dict(output: PmviOutput) -> dict:

@@ -13,6 +13,7 @@ equilibrium it returns.  Slow but trustworthy on small inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -160,10 +161,16 @@ def exact_nash_value_table(game) -> list[list[Fraction]]:
 
 
 def trajectory_expected_total(game, policy_max, policy_min, tables) -> Fraction:
-    """E[sum_h tables[h, s_h, a_h, b_h]] by exhaustive forward enumeration."""
+    """E[sum_h tables[h, s_h, a_h, b_h]] by exhaustive forward enumeration.
+
+    The policy pair is fixed for the whole call, so the expected total from
+    (h, s) onward is the same on every branch that reaches it: it is
+    enumerated once and cached.
+    """
     tables = np.asarray(tables)
     h_len, s_count = game.horizon, game.n_states
 
+    @functools.cache
     def recurse(h: int, s: int) -> Fraction:
         if h == h_len:
             return Fraction(0)

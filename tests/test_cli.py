@@ -26,6 +26,13 @@ def call(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def nested(value, depth):
+    """``value`` inside ``depth`` one-entry lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestSolveMatrix:
     def test_inline_matrix(self, capsys):
         code, out, _ = call(
@@ -93,6 +100,12 @@ class TestSolveMatrix:
         code, out, err = call(capsys, "solve-matrix", "--matrix", payload)
         assert code == 2 and out == ""
         assert f"{leaf}, not a number" in err
+
+    @pytest.mark.parametrize("depth", [33, 40])
+    def test_nesting_beyond_numpy_is_exit_2_naming_the_field(self, capsys, depth):
+        code, out, err = call(capsys, "solve-matrix", "--matrix", json.dumps(nested(1, depth)))
+        assert code == 2 and out == ""
+        assert err == "error: payoff matrix nests lists more than 32 levels deep\n"
 
     def test_integer_beyond_float64_is_exit_2(self, capsys):
         code, out, err = call(capsys, "solve-matrix", "--matrix", "[[1" + "0" * 400 + "]]")
@@ -231,6 +244,8 @@ class TestRun:
             ("mu", (2, 1, 5), None, "mu entry [2, 1, 5] is null, not a number"),
             # 11 of 12 entries: ragged, and the short row is named, not the first
             ("theta", (1,), [0.5] * 11, "theta entry [1] has length 11, but entry [0] has length 12"),
+            # deeper than numpy iterates
+            ("reward", (), nested(0.5, 40), "reward nests lists more than 32 levels deep"),
         ],
     )
     def test_game_file_numbers_must_be_json_numbers(self, capsys, tmp_path, field, index, leaf, shown):
@@ -248,6 +263,14 @@ class TestRun:
         code, out, err = call(capsys, "run", "--game", str(path), "--k", "50")
         assert code == 2 and out == ""
         assert shown in err
+
+    def test_one_hot_game_file_needs_as_many_next_states_as_states(self, capsys, tmp_path):
+        # no features: re-embedded one-hot, and the (1, 1, 1, 1, 2) transition has S = 1 but S' = 2
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"transition": [[[[[0.5, 0.5]]]]], "reward": [[[[0.5]]]], "states": 2}))
+        code, out, err = call(capsys, "run", "--game", str(path), "--k", "10")
+        assert code == 2 and out == ""
+        assert err == "error: transition must have shape (H,S,A1,A2,S), got (1, 1, 1, 1, 2)\n"
 
     @pytest.mark.parametrize("doc,kind", [([1, 2], "list"), ("abc", "str")])
     def test_game_file_must_hold_an_object(self, capsys, tmp_path, doc, kind):
@@ -534,6 +557,9 @@ USAGE_ERRORS = {
     # both are rejected before the features are allocated
     "hard-too-many-actions": ["run", "--game", "hard:p1=0.6,p2=0.4,actions=100000", "--k", "5"],
     "lower-bound-too-many-actions": ["lower-bound", "--k", "9", "--seeds", "1", "--actions", "100"],
+    # the transition grows with the horizon: 65 GB and 23 GB, rejected before it is allocated
+    "lower-bound-too-long-horizon": ["lower-bound", "--k", "10", "--seeds", "1", "--horizon", "100000000"],
+    "hard-too-long-horizon": ["run", "--game", "hard:p1=0.6,p2=0.4,actions=40,horizon=200000", "--k", "10"],
 }
 
 

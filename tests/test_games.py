@@ -1,6 +1,7 @@
 """Game container: validation, featurization, serialization."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -284,6 +285,12 @@ class TestSerialization:
         doc = pmvi.game_to_dict(pmvi.build_game(0.5, 0.5))
         doc[field] = value
         with pytest.raises(ConfigError, match=field):
+            pmvi.game_from_dict(doc)
+
+    def test_one_hot_document_needs_matching_state_counts(self):
+        # transition (1, 1, 1, 1, 2): one state, but two next states
+        doc = {"transition": [[[[[0.5, 0.5]]]]], "reward": [[[[0.5]]]], "states": 2}
+        with pytest.raises(ConfigError, match=re.escape("transition must have shape (H,S,A1,A2,S), got (1, 1, 1, 1, 2)")):
             pmvi.game_from_dict(doc)
 
     def test_numpy_integer_initial_state_is_stored_as_int(self):

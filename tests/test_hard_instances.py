@@ -70,6 +70,12 @@ class TestBuildGame:
         with pytest.raises(ConfigError, match=f"d={d}: {3 * n_actions**2 * d * 8} bytes of dense features"):
             build_game(0.5, 0.5, n_actions=n_actions)
 
+    def test_long_horizon_is_rejected_before_allocating(self):
+        # the (H, 3, a, a, 3) transition: 648 GB at H = 10**9
+        nbytes = 9 * 10**9 * 9 * 8
+        with pytest.raises(ConfigError, match=f"3 actions and horizon {10**9} give d=11: {nbytes} bytes of transition"):
+            build_game(0.6, 0.4, horizon=10**9)
+
     def test_gram_is_diagonal_counting(self):
         game = build_game(0.5, 0.5)
         schedule = balanced_schedule(45, 3, 3)

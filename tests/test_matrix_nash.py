@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import pmvi
 from pmvi import ConfigError, SolverError, best_pure_response_gap, solve_zero_sum
-from pmvi.matrix_nash import _equilibrium, _simplex_max
+from pmvi.matrix_nash import _equilibrium, _simplex_max, _solve_stage
 
 from oracles import exact_matrix_equilibrium, exact_matrix_value
 
@@ -69,6 +69,26 @@ def test_constant_matrix_is_the_simplex_answer_bit_for_bit(shape, c):
     assert sol.row_strategy.tobytes() == simplex.row_strategy.tobytes()
     assert sol.col_strategy.tobytes() == simplex.col_strategy.tobytes()
     assert sol.exploitability == simplex.exploitability == 0.0
+
+
+_VARIED = np.random.default_rng(22).uniform(-5.0, 5.0, size=(8, 3, 2))
+STAGES = {
+    "constant": np.array([np.full((3, 2), c) for c in CONSTANTS]),
+    "mixed": np.array([np.full((3, 2), c) if i % 2 else _VARIED[i] for i, c in enumerate(CONSTANTS[:8])]),
+    "non-constant": _VARIED,
+}
+
+
+@pytest.mark.parametrize("kind", STAGES)
+def test_stage_solve_is_the_per_state_solve_bit_for_bit(kind):
+    stage = STAGES[kind]
+    rows, cols, values = _solve_stage(stage)
+    assert (rows.shape, cols.shape, values.shape) == ((len(stage), 3), (len(stage), 2), (len(stage),))
+    for s, matrix in enumerate(stage):
+        sol = solve_zero_sum(matrix)
+        assert float(values[s]).hex() == float(sol.value).hex()
+        assert rows[s].tobytes() == sol.row_strategy.tobytes()
+        assert cols[s].tobytes() == sol.col_strategy.tobytes()
 
 
 def test_zero_matrix_everything_optimal():

@@ -10,6 +10,7 @@ import pytest
 import pmvi
 from pmvi import (
     ConfigError,
+    InvariantError,
     MarkovPolicy,
     PmviConfig,
     balanced_schedule,
@@ -21,7 +22,8 @@ from pmvi import (
     ridge_weights,
     run_pmvi,
 )
-from pmvi.cli import _BUILTIN_GAMES
+from pmvi import value_iteration
+from pmvi.cli import _BUILTIN_GAMES, main
 from pmvi.uncertainty import expected_feature_outer, well_explored_check
 
 #: default_beta(9, 1, 9000, 0.05) = 9 * sqrt(log(2*9*9000*1/0.05)), frozen.
@@ -409,6 +411,22 @@ class TestBackwardPass:
             assert np.array_equal(getattr(out1, name), getattr(out2, name)), name
         for name in ("policy_max", "policy_min", "policy_max_aux", "policy_min_aux"):
             assert np.array_equal(getattr(out1, name).probs, getattr(out2, name).probs), name
+
+    def test_value_off_the_lp_value_is_an_invariant_error(self, monkeypatch, capsys):
+        # the stage solve's LP values moved 1e-6 off the bilinear form x' Q y
+        solve = value_iteration._solve_stage
+
+        def off_by_1e6(q):
+            rows, cols, values = solve(q)
+            return rows, cols, values + 1e-6
+
+        monkeypatch.setattr(value_iteration, "_solve_stage", off_by_1e6)
+        game = pmvi.three_state_game()
+        with pytest.raises(InvariantError, match="equilibrium value mismatch at h=2, s=0"):
+            run_pmvi(game, behavior_data(game, 50, seed=0), PmviConfig(beta=0.5))
+        assert main(["run", "--game", "three-state", "--k", "50", "--beta", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violated: equilibrium value mismatch")
 
     def test_default_beta_requires_data(self):
         game = pmvi.cyclic_bandit()
